@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -54,6 +55,41 @@ func TestRunResumeNeedsCheckpointDir(t *testing.T) {
 	cfg.resume = true
 	if err := run(context.Background(), cfg); err == nil {
 		t.Error("accepted -resume without -checkpoint")
+	}
+}
+
+// Degenerate flag values are refused up front with errBadFlag, and
+// the binary exits 2 for them instead of panicking or running.
+func TestRunRejectsDegenerateFlags(t *testing.T) {
+	cases := []struct {
+		flag  string
+		value string
+		set   func(*config)
+	}{
+		{"-levels", "0", func(c *config) { c.levels = 0 }},
+		{"-levels", "-1", func(c *config) { c.levels = -1 }},
+		{"-imbalance-spread", "-5", func(c *config) { c.imbalanceSpread = -5 }},
+		{"-samples", "-1", func(c *config) { c.samples = -1 }},
+		{"-shield", "bogus", func(c *config) { c.shield = "bogus" }},
+		{"-mode", "rlcc", func(c *config) { c.mode = "rlcc" }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			cfg := baseConfig()
+			tc.set(&cfg)
+			err := run(context.Background(), cfg)
+			if !errors.Is(err, errBadFlag) || !strings.Contains(err.Error(), tc.flag+" ") {
+				t.Fatalf("run = %v, want errBadFlag naming %s", err, tc.flag)
+			}
+			cmd := exec.Command(binary(t), tc.flag+"="+tc.value)
+			out, err := cmd.CombinedOutput()
+			if code := cmd.ProcessState.ExitCode(); code != exitUsage {
+				t.Fatalf("exit code %d (%v), want %d; output:\n%s", code, err, exitUsage, out)
+			}
+			if !strings.Contains(string(out), "bad flag: "+tc.flag+" ") {
+				t.Errorf("stderr does not name %s:\n%s", tc.flag, out)
+			}
+		})
 	}
 }
 

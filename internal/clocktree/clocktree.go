@@ -30,6 +30,9 @@ var (
 	treeLeaves = obs.GetCounter("clocktree.leaves")
 )
 
+// ErrNoLevels is returned by NewTree for a tree without levels.
+var ErrNoLevels = errors.New("clocktree: need at least one level")
+
 // Buffer is the clock buffer model.
 type Buffer struct {
 	// DriveRes is the Thevenin output resistance in Ω.
@@ -68,7 +71,7 @@ type Tree struct {
 // NewTree assembles and validates a tree.
 func NewTree(levels []Level, buf Buffer, ext *core.Extractor) (*Tree, error) {
 	if len(levels) == 0 {
-		return nil, errors.New("clocktree: need at least one level")
+		return nil, ErrNoLevels
 	}
 	if err := buf.Validate(); err != nil {
 		return nil, err
@@ -93,9 +96,10 @@ func NewTree(levels []Level, buf Buffer, ext *core.Extractor) (*Tree, error) {
 // given half-span: level ℓ's trunk reaches halfSpan/2^ℓ and its arms
 // half of that, halving each level. All levels share the segment
 // profile (widths typically taper in real designs; callers can edit
-// the returned slice).
+// the returned slice). A non-positive nLevels yields no levels, which
+// NewTree rejects.
 func HTreeLevels(halfSpan float64, nLevels int, seg core.Segment) []Level {
-	levels := make([]Level, nLevels)
+	levels := make([]Level, max(nLevels, 0))
 	span := halfSpan
 	for i := range levels {
 		levels[i] = Level{TrunkLen: span, ArmLen: span / 2, Segment: seg}

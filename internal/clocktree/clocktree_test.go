@@ -1,6 +1,7 @@
 package clocktree
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -186,8 +187,14 @@ func TestScalePerturbsArrivals(t *testing.T) {
 
 func TestNewTreeValidation(t *testing.T) {
 	ext := sharedExtractor(t)
-	if _, err := NewTree(nil, testBuffer(), ext); err == nil {
-		t.Error("accepted empty levels")
+	for _, n := range []int{0, -1, -1 << 40} {
+		lv := HTreeLevels(units.Um(1000), n, testSegment())
+		if len(lv) != 0 {
+			t.Errorf("HTreeLevels(%d) returned %d levels", n, len(lv))
+		}
+		if _, err := NewTree(lv, testBuffer(), ext); !errors.Is(err, ErrNoLevels) {
+			t.Errorf("NewTree(HTreeLevels(%d)) = %v, want ErrNoLevels", n, err)
+		}
 	}
 	if _, err := NewTree(HTreeLevels(units.Um(1000), 1, testSegment()), Buffer{}, ext); err == nil {
 		t.Error("accepted zero buffer")

@@ -1,10 +1,15 @@
-// Package linalg implements the small dense linear-algebra kernel the
+// Package linalg implements the small linear-algebra kernel the
 // extractor needs: real and complex matrices, LU decomposition with
 // partial pivoting, linear solves and inverses.
 //
 // The matrices involved are modest (filament systems of a few hundred
-// unknowns, MNA systems of a few thousand), so a straightforward dense
-// O(n³) LU is the right tool; no sparsity or blocking is attempted.
+// unknowns, MNA systems of a few thousand), so factorization is a
+// straightforward dense O(n³) LU; no sparse elimination, reordering
+// or blocking is attempted. What is sparse is reuse: CSR compresses a
+// matrix, and SparseLU a finished factorization, to their exact
+// nonzeros, so the products and triangular solves a time-stepping
+// loop repeats thousands of times skip the structural zeros while
+// staying bitwise equal to the dense kernels.
 package linalg
 
 import (
@@ -253,20 +258,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		}
 	}
 	return x, nil
-}
-
-// SolveInPlace solves A·x = b storing the result into dst (which may
-// alias b). It avoids allocation in inner simulation loops.
-func (f *LU) SolveInPlace(b, dst []float64) error {
-	if len(b) != f.n || len(dst) != f.n {
-		return fmt.Errorf("linalg: SolveInPlace length mismatch")
-	}
-	x, err := f.Solve(b)
-	if err != nil {
-		return err
-	}
-	copy(dst, x)
-	return nil
 }
 
 // Det returns the determinant of the factored matrix.

@@ -207,23 +207,6 @@ func TestQuickDetDiagonal(t *testing.T) {
 	}
 }
 
-func TestSolveInPlace(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 2)
-	a.Set(1, 1, 4)
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := []float64{2, 8}
-	if err := f.SolveInPlace(b, b); err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != 1 || b[1] != 2 {
-		t.Errorf("SolveInPlace = %v, want [1 2]", b)
-	}
-}
-
 func TestMaxAbsDiff(t *testing.T) {
 	a := NewMatrix(2, 2)
 	b := NewMatrix(2, 2)
