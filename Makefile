@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 vet build test race roundtrip chaos fuzz bench bench-obs bench-check serve clean
+.PHONY: all tier1 vet build test race roundtrip chaos fuzz bench bench-obs bench-check serve loc clean
 
 all: tier1
 
@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run '^FuzzCodecV3LoadFile$$' -fuzz '^FuzzCodecV3LoadFile$$' -fuzztime $(FUZZTIME) ./internal/table
 	$(GO) test -run '^FuzzGridEvalReference$$' -fuzz '^FuzzGridEvalReference$$' -fuzztime $(FUZZTIME) ./internal/spline
 	$(GO) test -run '^FuzzGeometryValidate$$' -fuzz '^FuzzGeometryValidate$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^FuzzNewTree$$' -fuzz '^FuzzNewTree$$' -fuzztime $(FUZZTIME) ./internal/clocktree
 
 # bench runs the full experiment benchmark suite (slow).
 bench:
@@ -94,6 +95,12 @@ serve:
 #   make bench-obs && cp BENCH_*.json bench/baseline/
 bench-check:
 	$(GO) run ./cmd/benchdiff -baseline bench/baseline -current .
+
+# loc prints the size metric ROADMAP tracks: non-test Go lines outside
+# the benchmark module (perfbench/) and its build directory.
+loc:
+	@find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git \) -prune \
+		-o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 clean:
 	rm -f BENCH_obs.json BENCH_spline.json BENCH_cache.json BENCH_fault.json BENCH_check.json BENCH_trace.json BENCH_mmap.json BENCH_serve.json BENCH_overload.json BENCH_tree.json

@@ -33,7 +33,7 @@ var (
 
 func benchExtractor(b *testing.B) *core.Extractor {
 	b.Helper()
-	benchOnce.Do(func() { benchExt, benchErr = paper.NewExtractor() })
+	benchOnce.Do(func() { benchExt, benchErr = paper.NewExtractor(context.Background()) })
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
@@ -46,7 +46,7 @@ func BenchmarkE1Fig23(b *testing.B) {
 	e := benchExtractor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := paper.Fig23(e)
+		res, err := paper.Fig23(context.Background(), e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func BenchmarkE2Fig5(b *testing.B) {
 // linear cascading for both Fig. 6 trees.
 func BenchmarkE3Table1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := paper.Table1()
+		rows, err := paper.Table1(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func BenchmarkE4HTreeSkew(b *testing.B) {
 	e := benchExtractor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := paper.HTreeSkew(e, geom.ShieldNone)
+		res, err := paper.HTreeSkew(context.Background(), e, geom.ShieldNone)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func BenchmarkE6TableAccuracy(b *testing.B) {
 	e := benchExtractor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paper.CheckTables(e); err != nil {
+		if _, err := paper.CheckTables(context.Background(), e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,7 +140,7 @@ func BenchmarkE8Shields(b *testing.B) {
 	e := benchExtractor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := paper.CompareShields(e)
+		res, err := paper.CompareShields(context.Background(), e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func BenchmarkE9ProcessVariation(b *testing.B) {
 	e := benchExtractor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paper.ProcessVariation(e, 30); err != nil {
+		if _, err := paper.ProcessVariation(context.Background(), e, 30); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func BenchmarkE10TableLookup(b *testing.B) {
 	seg := paper.Fig1Segment()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.LoopL(seg); err != nil {
+		if _, err := e.LoopLCtx(context.Background(), seg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,17 +187,16 @@ func BenchmarkE10TableLookupChecked(b *testing.B) {
 	defer check.SetPolicy(check.Off)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.LoopL(seg); err != nil {
+		if _, err := e.LoopLCtx(context.Background(), seg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkE10TableLookupCtx is the same composition through the
-// context-propagated entry point with tracing disarmed (the default).
-// StartCtx costs one atomic load and returns the context unchanged
-// here, so this number must stay indistinguishable from
-// BenchmarkE10TableLookup — scripts/bench.sh records the ratio in
+// BenchmarkE10TableLookupCtx is the same composition with one context
+// hoisted out of the loop and tracing disarmed (the default). LoopLCtx
+// is the only entry point, so this number must stay indistinguishable
+// from BenchmarkE10TableLookup — scripts/bench.sh records the ratio in
 // BENCH_trace.json.
 func BenchmarkE10TableLookupCtx(b *testing.B) {
 	e := benchExtractor(b)
@@ -240,7 +239,7 @@ func BenchmarkE10SegmentRLC(b *testing.B) {
 	seg := paper.Fig1Segment()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.SegmentRLC(seg); err != nil {
+		if _, err := e.SegmentRLCCtx(context.Background(), seg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -254,7 +253,7 @@ func BenchmarkE10DirectSolve(b *testing.B) {
 	seg := paper.Fig1Segment()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.DirectLoopL(seg); err != nil {
+		if _, err := e.DirectLoopLCtx(context.Background(), seg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +276,7 @@ func BenchmarkTableBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := table.Build(cfg, axes); err != nil {
+		if _, err := table.BuildCtx(context.Background(), cfg, axes, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -308,7 +307,7 @@ func BenchmarkTableBuildWorkers(b *testing.B) {
 				Workers:   w.workers,
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := table.Build(cfg, axes); err != nil {
+				if _, err := table.BuildCtx(context.Background(), cfg, axes, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -363,7 +362,7 @@ func BenchmarkE11ShieldRule(b *testing.B) {
 	e := benchExtractor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := paper.ShieldRule(e, []float64{0.5, 1, 2})
+		res, err := paper.ShieldRule(context.Background(), e, []float64{0.5, 1, 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -378,7 +377,7 @@ func BenchmarkE12Repeater(b *testing.B) {
 	e := benchExtractor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := paper.RepeaterInsertion(e)
+		res, err := paper.RepeaterInsertion(context.Background(), e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -393,7 +392,7 @@ func BenchmarkE13BusNoise(b *testing.B) {
 	e := benchExtractor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := paper.BusNoise(e)
+		res, err := paper.BusNoise(context.Background(), e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -409,7 +408,7 @@ func BenchmarkE14SkewVariation(b *testing.B) {
 	e := benchExtractor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := paper.SkewVariation(e, 3, int64(i)+1)
+		res, err := paper.SkewVariation(context.Background(), e, 3, int64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -452,11 +451,11 @@ func BenchmarkExtractorCache(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			e, err := core.NewExtractor(tech, paper.Fsig, axes, shieldings)
+			e, err := core.NewExtractorCtx(context.Background(), tech, paper.Fsig, axes, shieldings)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := e.SegmentsRLC(segs); err != nil {
+			if _, err := e.SegmentsRLCCtx(context.Background(), segs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -467,16 +466,16 @@ func BenchmarkExtractorCache(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Prime the cache outside the timed region.
-		if _, err := core.NewExtractor(tech, paper.Fsig, axes, shieldings, core.WithTableCache(cache)); err != nil {
+		if _, err := core.NewExtractorCtx(context.Background(), tech, paper.Fsig, axes, shieldings, core.WithTableCache(cache)); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e, err := core.NewExtractor(tech, paper.Fsig, axes, shieldings, core.WithTableCache(cache))
+			e, err := core.NewExtractorCtx(context.Background(), tech, paper.Fsig, axes, shieldings, core.WithTableCache(cache))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := e.SegmentsRLC(segs); err != nil {
+			if _, err := e.SegmentsRLCCtx(context.Background(), segs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -596,7 +595,7 @@ func BenchmarkLookupBatch(b *testing.B) {
 	b.Run("scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, s := range segs {
-				if _, err := e.LoopL(s); err != nil {
+				if _, err := e.LoopLCtx(context.Background(), s); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -605,7 +604,7 @@ func BenchmarkLookupBatch(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := e.LoopLBatch(segs); err != nil {
+			if _, err := e.LoopLBatchCtx(context.Background(), segs); err != nil {
 				b.Fatal(err)
 			}
 		}

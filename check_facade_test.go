@@ -1,6 +1,7 @@
 package clockrlc_test
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -101,7 +102,7 @@ func TestValidationSurface(t *testing.T) {
 	if err != nil {
 		t.Fatalf("strict-checked extractor on clean tables: %v", err)
 	}
-	if _, err := ext.SegmentRLC(clockrlc.Segment{
+	if _, err := ext.SegmentRLCCtx(context.Background(), clockrlc.Segment{
 		Length: clockrlc.Um(1000), SignalWidth: clockrlc.Um(4),
 		GroundWidth: clockrlc.Um(2), Spacing: clockrlc.Um(1.5),
 		Shielding: clockrlc.ShieldNone,

@@ -28,7 +28,7 @@
 //	freq := clockrlc.SignificantFrequency(100 * clockrlc.PicoSecond)
 //	ext, err := clockrlc.NewExtractor(tech, freq, clockrlc.DefaultAxes(), nil)
 //	...
-//	rlc, err := ext.SegmentRLC(clockrlc.Segment{
+//	rlc, err := ext.SegmentRLCCtx(context.Background(), clockrlc.Segment{
 //		Length: clockrlc.Um(6000), SignalWidth: clockrlc.Um(10),
 //		GroundWidth: clockrlc.Um(5), Spacing: clockrlc.Um(1),
 //		Shielding: clockrlc.ShieldNone,
@@ -148,7 +148,7 @@ type (
 // NewExtractor builds inductance tables and returns an extractor.
 // Options (e.g. WithObserver) configure instrumentation.
 func NewExtractor(tech Technology, freq float64, axes TableAxes, shieldings []Shielding, opts ...ExtractorOption) (*Extractor, error) {
-	return core.NewExtractor(tech, freq, axes, shieldings, opts...)
+	return core.NewExtractorCtx(context.Background(), tech, freq, axes, shieldings, opts...)
 }
 
 // NewExtractorCtx is NewExtractor honouring cancellation: a cancelled
@@ -165,7 +165,7 @@ func NewExtractorFromTables(tech Technology, freq float64, sets ...*TableSet) (*
 
 // BuildTables precomputes one table set (Section III).
 func BuildTables(cfg TableConfig, axes TableAxes) (*TableSet, error) {
-	return table.Build(cfg, axes)
+	return table.BuildCtx(context.Background(), cfg, axes, nil)
 }
 
 // BuildTablesCtx is BuildTables with cancellation; see NewExtractorCtx.
@@ -251,7 +251,7 @@ var (
 
 // Transient runs the trapezoidal MNA simulation.
 func Transient(nl *Netlist, h, tstop float64, probes []string) (*SimResult, error) {
-	return sim.Transient(nl, h, tstop, probes)
+	return sim.TransientCtx(context.Background(), nl, h, tstop, probes)
 }
 
 // TransientCtx is Transient honouring cancellation (checked every few
@@ -363,12 +363,12 @@ type (
 
 // PerturbedRLC extracts a segment under a process sample.
 func PerturbedRLC(e *Extractor, seg Segment, s ProcessSample) (SegmentRLC, error) {
-	return statrc.PerturbedRLC(e, seg, s)
+	return statrc.PerturbedRLC(context.Background(), e, seg, s)
 }
 
 // MonteCarlo measures R/C/L spreads under process variation.
 func MonteCarlo(e *Extractor, seg Segment, v ProcessVariation, n int, seed int64) (r, c, l Spread, err error) {
-	return statrc.MonteCarlo(e, seg, v, n, seed)
+	return statrc.MonteCarlo(context.Background(), e, seg, v, n, seed)
 }
 
 // Analytic delay baselines and the inductance screen.
@@ -408,18 +408,18 @@ type (
 // RunCrosstalk simulates an aggressor switching next to a quiet,
 // shielded clock segment and reports the victim's peak noise.
 func RunCrosstalk(e *Extractor, sc XtalkScenario) (*XtalkResult, error) {
-	return xtalk.Run(e, sc)
+	return xtalk.Run(context.Background(), e, sc)
 }
 
 // ShieldWidthSweep probes the paper's "at least equal width" rule:
 // victim noise vs shield-to-signal width ratio.
 func ShieldWidthSweep(e *Extractor, base XtalkScenario, ratios []float64) ([]ShieldSweepPoint, error) {
-	return xtalk.ShieldWidthSweep(e, base, ratios)
+	return xtalk.ShieldWidthSweep(context.Background(), e, base, ratios)
 }
 
 // ACAnalysis performs a small-signal frequency sweep of a netlist.
 func ACAnalysis(nl *Netlist, freqs []float64, acMag map[string]float64, probes []string) (*ACSweepResult, error) {
-	return sim.AC(nl, freqs, acMag, probes)
+	return sim.ACCtx(context.Background(), nl, freqs, acMag, probes)
 }
 
 // ACAnalysisCtx is ACAnalysis honouring cancellation between frequency
@@ -442,12 +442,12 @@ type (
 
 // SweepWidth evaluates candidate signal widths at fixed pitch.
 func SweepWidth(e *Extractor, s SizingSpec, widths []float64) ([]SizingPoint, error) {
-	return sizing.SweepWidth(e, s, widths)
+	return sizing.SweepWidthCtx(context.Background(), e, s, widths)
 }
 
 // OptimizeWidth picks the minimum-delay width from the candidates.
 func OptimizeWidth(e *Extractor, s SizingSpec, widths []float64) (SizingPoint, []SizingPoint, error) {
-	return sizing.Optimize(e, s, widths)
+	return sizing.OptimizeCtx(context.Background(), e, s, widths)
 }
 
 // Repeater insertion and bus analysis applications.
@@ -467,13 +467,13 @@ type (
 // OptimizeRepeaters sweeps repeater counts 1..maxN and returns the
 // minimum-delay insertion.
 func OptimizeRepeaters(e *Extractor, s RepeaterSpec, maxN int) (RepeaterPoint, []RepeaterPoint, error) {
-	return repeater.Optimize(e, s, maxN)
+	return repeater.Optimize(context.Background(), e, s, maxN)
 }
 
 // BusNoise simulates aggressors switching on a shielded bus and
 // reports each quiet victim's peak noise.
 func BusNoise(e *Extractor, s BusSpec, aggressors []int, probeVictim int) (*BusResult, error) {
-	return bus.Noise(e, s, aggressors, probeVictim)
+	return bus.Noise(context.Background(), e, s, aggressors, probeVictim)
 }
 
 // TableCache is a content-addressed on-disk store of built table
@@ -496,13 +496,6 @@ func TableCacheKey(cfg TableConfig, axes TableAxes) (string, error) {
 	return table.CacheKey(cfg, axes)
 }
 
-// ExtractionBatch fans whole-segment extraction across a bounded
-// worker pool. Extractor.SegmentsRLC instead takes the vectorized
-// path — R/C on a GOMAXPROCS-wide pool, then all loop inductances
-// through the table layer's batch lookups — with bit-identical
-// results.
-type ExtractionBatch = core.Batch
-
 // TableLibrary manages one technology's table sets (one per layer and
 // shielding configuration) with directory persistence.
 type TableLibrary = table.Library
@@ -523,7 +516,7 @@ type (
 
 // NewMultiExtractor builds per-layer tables over shared axes.
 func NewMultiExtractor(layers []LayerTech, freq float64, axes TableAxes, shieldings []Shielding) (*MultiExtractor, error) {
-	return core.NewMultiExtractor(layers, freq, axes, shieldings)
+	return core.NewMultiExtractor(context.Background(), layers, freq, axes, shieldings)
 }
 
 // StackFromTechnology derives per-layer technologies from a geometry

@@ -1,6 +1,7 @@
 package clockrlc_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Spacing:     clockrlc.Um(1),
 		Shielding:   clockrlc.ShieldNone,
 	}
-	rlc, err := ext.SegmentRLC(seg)
+	rlc, err := ext.SegmentRLCCtx(context.Background(), seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +121,11 @@ func TestPublicCascade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := tree.FullLoopL(6.4e9)
+	full, err := tree.FullLoopLCtx(context.Background(), 6.4e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	casc, err := tree.CascadedLoopL(6.4e9)
+	casc, err := tree.CascadedLoopLCtx(context.Background(), 6.4e9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func run(ctx context.Context, exp, csv string, samples int) error {
 	if needExt[exp] {
 		fmt.Printf("building inductance tables (f_sig = %.2g GHz)...\n\n", paper.Fsig/1e9)
 		var err error
-		ext, err = paper.NewExtractor()
+		ext, err = paper.NewExtractor(ctx)
 		if err != nil {
 			return err
 		}
@@ -82,19 +82,19 @@ func run(ctx context.Context, exp, csv string, samples int) error {
 		name string
 		f    func() error
 	}{
-		{"fig23", func() error { return fig23(ext, csv) }},
+		{"fig23", func() error { return fig23(ctx, ext, csv) }},
 		{"fig5", fig5},
-		{"table1", table1},
-		{"skew", func() error { return skew(ext) }},
+		{"table1", func() error { return table1(ctx) }},
+		{"skew", func() error { return skew(ctx, ext) }},
 		{"length", length},
-		{"tables", func() error { return tables(ext) }},
+		{"tables", func() error { return tables(ctx, ext) }},
 		{"freq", freq},
-		{"shields", func() error { return shields(ext) }},
-		{"stat", func() error { return stat(ext, samples) }},
-		{"shieldrule", func() error { return shieldRule(ext) }},
-		{"repeater", func() error { return repeaterExp(ext) }},
-		{"busnoise", func() error { return busNoise(ext) }},
-		{"skewvar", func() error { return skewVar(ext) }},
+		{"shields", func() error { return shields(ctx, ext) }},
+		{"stat", func() error { return stat(ctx, ext, samples) }},
+		{"shieldrule", func() error { return shieldRule(ctx, ext) }},
+		{"repeater", func() error { return repeaterExp(ctx, ext) }},
+		{"busnoise", func() error { return busNoise(ctx, ext) }},
+		{"skewvar", func() error { return skewVar(ctx, ext) }},
 	}
 	for _, s := range steps {
 		if err := try(s.name, s.f); err != nil {
@@ -107,8 +107,8 @@ func run(ctx context.Context, exp, csv string, samples int) error {
 	return nil
 }
 
-func fig23(ext *core.Extractor, csv string) error {
-	res, err := paper.Fig23(ext)
+func fig23(ctx context.Context, ext *core.Extractor, csv string) error {
+	res, err := paper.Fig23(ctx, ext)
 	if err != nil {
 		return err
 	}
@@ -172,8 +172,8 @@ func fig5() error {
 	return nil
 }
 
-func table1() error {
-	rows, err := paper.Table1()
+func table1(ctx context.Context) error {
+	rows, err := paper.Table1(ctx)
 	if err != nil {
 		return err
 	}
@@ -186,9 +186,9 @@ func table1() error {
 	return nil
 }
 
-func skew(ext *core.Extractor) error {
+func skew(ctx context.Context, ext *core.Extractor) error {
 	fmt.Println("E4 — Section V: H-tree skew with vs without inductance (4× load on one leaf)")
-	res, err := paper.HTreeSkew(ext, geom.ShieldNone)
+	res, err := paper.HTreeSkew(ctx, ext, geom.ShieldNone)
 	if err != nil {
 		return err
 	}
@@ -211,9 +211,9 @@ func length() error {
 	return nil
 }
 
-func tables(ext *core.Extractor) error {
+func tables(ctx context.Context, ext *core.Extractor) error {
 	fmt.Println("E6 — Section III: table lookup accuracy vs direct extraction")
-	acc, err := paper.CheckTables(ext)
+	acc, err := paper.CheckTables(ctx, ext)
 	if err != nil {
 		return err
 	}
@@ -239,9 +239,9 @@ func freq() error {
 	return nil
 }
 
-func shields(ext *core.Extractor) error {
+func shields(ctx context.Context, ext *core.Extractor) error {
 	fmt.Println("E8 — Fig. 8 vs Fig. 9: coplanar waveguide vs microstrip building blocks")
-	res, err := paper.CompareShields(ext)
+	res, err := paper.CompareShields(ctx, ext)
 	if err != nil {
 		return err
 	}
@@ -253,9 +253,9 @@ func shields(ext *core.Extractor) error {
 	return nil
 }
 
-func stat(ext *core.Extractor, samples int) error {
+func stat(ctx context.Context, ext *core.Extractor, samples int) error {
 	fmt.Printf("E9 — Section V: process variation, %d Monte-Carlo samples\n", samples)
-	res, err := paper.ProcessVariation(ext, samples)
+	res, err := paper.ProcessVariation(ctx, ext, samples)
 	if err != nil {
 		return err
 	}
@@ -265,9 +265,9 @@ func stat(ext *core.Extractor, samples int) error {
 	return nil
 }
 
-func shieldRule(ext *core.Extractor) error {
+func shieldRule(ctx context.Context, ext *core.Extractor) error {
 	fmt.Println("E11 — Section IV: the \"at least equal width\" shielding rule")
-	res, err := paper.ShieldRule(ext, []float64{0.25, 0.5, 1, 2})
+	res, err := paper.ShieldRule(ctx, ext, []float64{0.25, 0.5, 1, 2})
 	if err != nil {
 		return err
 	}
@@ -280,9 +280,9 @@ func shieldRule(ext *core.Extractor) error {
 	return nil
 }
 
-func repeaterExp(ext *core.Extractor) error {
+func repeaterExp(ctx context.Context, ext *core.Extractor) error {
 	fmt.Println("E12 — repeater insertion on a 16 mm shielded route, RC vs RLC analysis")
-	res, err := paper.RepeaterInsertion(ext)
+	res, err := paper.RepeaterInsertion(ctx, ext)
 	if err != nil {
 		return err
 	}
@@ -304,9 +304,9 @@ func repeaterExp(ext *core.Extractor) error {
 	return nil
 }
 
-func busNoise(ext *core.Extractor) error {
+func busNoise(ctx context.Context, ext *core.Extractor) error {
 	fmt.Println("E13 — Fig. 4 bus structure: switching noise into a quiet middle bit (5-bit bus, outer shields)")
-	res, err := paper.BusNoise(ext)
+	res, err := paper.BusNoise(ctx, ext)
 	if err != nil {
 		return err
 	}
@@ -315,9 +315,9 @@ func busNoise(ext *core.Extractor) error {
 	return nil
 }
 
-func skewVar(ext *core.Extractor) error {
+func skewVar(ctx context.Context, ext *core.Extractor) error {
 	fmt.Println("E14 — Section V proposal: nominal L + statistical RC for skew under process variation")
-	res, err := paper.SkewVariation(ext, 12, 424242)
+	res, err := paper.SkewVariation(ctx, ext, 12, 424242)
 	if err != nil {
 		return err
 	}

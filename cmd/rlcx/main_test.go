@@ -26,7 +26,7 @@ func TestRunWithPrebuiltTables(t *testing.T) {
 		Spacings: table.LogAxis(units.Um(0.5), units.Um(4), 3),
 		Lengths:  table.LogAxis(units.Um(500), units.Um(4000), 3),
 	}
-	set, err := table.Build(cfg, axes)
+	set, err := table.BuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRunCorruptTableStrictVsWarn(t *testing.T) {
 		Spacings: table.LogAxis(units.Um(0.5), units.Um(4), 3),
 		Lengths:  table.LogAxis(units.Um(500), units.Um(4000), 3),
 	}
-	set, err := table.Build(cfg, axes)
+	set, err := table.BuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,6 @@ import (
 	"clockrlc/internal/check"
 	"clockrlc/internal/cliobs"
 	"clockrlc/internal/core"
-	"clockrlc/internal/obs"
 	"clockrlc/internal/serve"
 	"clockrlc/internal/table"
 	"clockrlc/internal/units"
@@ -137,7 +136,6 @@ func run(ctx context.Context, o options) error {
 		Workers:         o.workers,
 		DefaultCheck:    checkPolicy,
 		DefaultLookup:   lp,
-		Observer:        obs.Default(),
 		MaxInFlight:     o.maxInflight,
 		QueueDepth:      o.queue,
 		QueueWait:       o.queueWait,

@@ -155,6 +155,15 @@ func run(ctx context.Context, out, format, name string, thickness float64, rhoNa
 	if format != "v2" && format != "v3" {
 		return fmt.Errorf("bad -format %q (want v2 or v3)", format)
 	}
+	for _, err := range []error{
+		cliobs.CheckAxisFlags("wmin", wmin, "wmax", wmax, "nw", nw),
+		cliobs.CheckAxisFlags("smin", smin, "smax", smax, "ns", ns),
+		cliobs.CheckAxisFlags("lmin", lmin, "lmax", lmax, "nl", nl),
+	} {
+		if err != nil {
+			return err
+		}
+	}
 	var rho float64
 	switch rhoName {
 	case "cu":

@@ -2,9 +2,17 @@ package main
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
+	"clockrlc/internal/cliobs"
 	"clockrlc/internal/geom"
 	"clockrlc/internal/obs"
 	"clockrlc/internal/table"
@@ -58,7 +66,7 @@ func TestRoundTripBitForBit(t *testing.T) {
 		Spacings: table.LogAxis(units.Um(1), units.Um(2), 2),
 		Lengths:  table.LogAxis(units.Um(100), units.Um(1000), 3),
 	}
-	built, err := table.Build(cfg, axes)
+	built, err := table.BuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +149,77 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 1, ""); err == nil {
 		t.Error("accepted unknown format")
 	}
+}
+
+// Degenerate axis flags are refused up front with cliobs.ErrBadFlag
+// (before any solve), and the binary exits 2 for them instead of
+// panicking in table.LogAxis.
+func TestRunRejectsDegenerateFlags(t *testing.T) {
+	type axes struct {
+		wmin, wmax, smin, smax, lmin, lmax float64
+		nw, ns, nl                         int
+	}
+	cases := []struct {
+		flag, value string
+		set         func(*axes)
+	}{
+		{"-nw", "1", func(a *axes) { a.nw = 1 }},
+		{"-ns", "0", func(a *axes) { a.ns = 0 }},
+		{"-nl", "-3", func(a *axes) { a.nl = -3 }},
+		{"-wmin", "0", func(a *axes) { a.wmin = 0 }},
+		{"-smin", "-1", func(a *axes) { a.smin = -1 }},
+		{"-wmax", "0.5", func(a *axes) { a.wmax = 0.5 }},
+		{"-smax", "0.1", func(a *axes) { a.smax = 0.1 }},
+		{"-lmax", "inf", func(a *axes) { a.lmax = math.Inf(1) }},
+		{"-lmin", "nan", func(a *axes) { a.lmin = math.NaN() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "set.rlct")
+			a := axes{wmin: 1, wmax: 14, smin: 0.5, smax: 22, lmin: 50, lmax: 8000, nw: 5, ns: 6, nl: 8}
+			tc.set(&a)
+			err := run(context.Background(), out, "v3", "m6", 2, "cu", "coplanar", 2, 1,
+				50, a.wmin, a.wmax, a.nw, a.smin, a.smax, a.ns, a.lmin, a.lmax, a.nl, 1, "")
+			if !errors.Is(err, cliobs.ErrBadFlag) || !strings.Contains(err.Error(), tc.flag+" ") {
+				t.Fatalf("run = %v, want ErrBadFlag naming %s", err, tc.flag)
+			}
+			cmd := exec.Command(binary(t), "-out", out, tc.flag+"="+tc.value)
+			stderr, err := cmd.CombinedOutput()
+			if code := cmd.ProcessState.ExitCode(); code != cliobs.ExitUsage {
+				t.Fatalf("exit code %d (%v), want %d; output:\n%s", code, err, cliobs.ExitUsage, stderr)
+			}
+			if !strings.Contains(string(stderr), "bad flag: "+tc.flag+" ") || strings.Contains(string(stderr), "panic:") {
+				t.Errorf("stderr does not name %s cleanly:\n%s", tc.flag, stderr)
+			}
+		})
+	}
+}
+
+var (
+	buildOnce sync.Once
+	buildPath string
+	buildErr  error
+)
+
+// binary builds tablegen once per test run.
+func binary(t *testing.T) string {
+	t.Helper()
+	buildOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "tablegen-test-*")
+		if err != nil {
+			buildErr = err
+			return
+		}
+		buildPath = filepath.Join(dir, "tablegen")
+		out, err := exec.Command("go", "build", "-o", buildPath, ".").CombinedOutput()
+		if err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
+	}
+	return buildPath
 }
 
 // TestMigrateFileBitIdentical: `tablegen migrate` converts a v2 JSON

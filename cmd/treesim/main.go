@@ -17,7 +17,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -94,28 +93,18 @@ func main() {
 	sd.Stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "treesim:", err)
-		if errors.Is(err, errBadFlag) {
-			os.Exit(exitUsage)
-		}
 		os.Exit(sd.ExitCode(err))
 	}
 }
 
-// errBadFlag marks a flag value treesim cannot run with; main exits
-// with exitUsage for it, the status the flag package uses for a flag
-// it cannot parse.
-var errBadFlag = errors.New("bad flag")
-
-const exitUsage = 2
-
 func run(ctx context.Context, cfg config) error {
 	switch {
 	case cfg.levels < 1:
-		return fmt.Errorf("%w: -levels %d (want at least 1)", errBadFlag, cfg.levels)
+		return fmt.Errorf("%w: -levels %d (want at least 1)", cliobs.ErrBadFlag, cfg.levels)
 	case cfg.imbalanceSpread < 0:
-		return fmt.Errorf("%w: -imbalance-spread %d (want 0 or more)", errBadFlag, cfg.imbalanceSpread)
+		return fmt.Errorf("%w: -imbalance-spread %d (want 0 or more)", cliobs.ErrBadFlag, cfg.imbalanceSpread)
 	case cfg.samples < 0:
-		return fmt.Errorf("%w: -samples %d (want 0 or more)", errBadFlag, cfg.samples)
+		return fmt.Errorf("%w: -samples %d (want 0 or more)", cliobs.ErrBadFlag, cfg.samples)
 	}
 	var sh geom.Shielding
 	switch cfg.shield {
@@ -124,7 +113,7 @@ func run(ctx context.Context, cfg config) error {
 	case "microstrip":
 		sh = geom.ShieldMicrostrip
 	default:
-		return fmt.Errorf("%w: -shield %q (want coplanar or microstrip)", errBadFlag, cfg.shield)
+		return fmt.Errorf("%w: -shield %q (want coplanar or microstrip)", cliobs.ErrBadFlag, cfg.shield)
 	}
 	var modes []bool
 	switch cfg.mode {
@@ -135,7 +124,7 @@ func run(ctx context.Context, cfg config) error {
 	case "both":
 		modes = []bool{false, true}
 	default:
-		return fmt.Errorf("%w: -mode %q (want rc, rlc or both)", errBadFlag, cfg.mode)
+		return fmt.Errorf("%w: -mode %q (want rc, rlc or both)", cliobs.ErrBadFlag, cfg.mode)
 	}
 	lp, err := table.ParseLookupPolicy(cfg.lookupPol)
 	if err != nil {

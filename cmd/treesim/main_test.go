@@ -14,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"clockrlc/internal/cliobs"
 )
 
 func baseConfig() config {
@@ -58,7 +60,7 @@ func TestRunResumeNeedsCheckpointDir(t *testing.T) {
 	}
 }
 
-// Degenerate flag values are refused up front with errBadFlag, and
+// Degenerate flag values are refused up front with cliobs.ErrBadFlag, and
 // the binary exits 2 for them instead of panicking or running.
 func TestRunRejectsDegenerateFlags(t *testing.T) {
 	cases := []struct {
@@ -78,13 +80,13 @@ func TestRunRejectsDegenerateFlags(t *testing.T) {
 			cfg := baseConfig()
 			tc.set(&cfg)
 			err := run(context.Background(), cfg)
-			if !errors.Is(err, errBadFlag) || !strings.Contains(err.Error(), tc.flag+" ") {
-				t.Fatalf("run = %v, want errBadFlag naming %s", err, tc.flag)
+			if !errors.Is(err, cliobs.ErrBadFlag) || !strings.Contains(err.Error(), tc.flag+" ") {
+				t.Fatalf("run = %v, want cliobs.ErrBadFlag naming %s", err, tc.flag)
 			}
 			cmd := exec.Command(binary(t), tc.flag+"="+tc.value)
 			out, err := cmd.CombinedOutput()
-			if code := cmd.ProcessState.ExitCode(); code != exitUsage {
-				t.Fatalf("exit code %d (%v), want %d; output:\n%s", code, err, exitUsage, out)
+			if code := cmd.ProcessState.ExitCode(); code != cliobs.ExitUsage {
+				t.Fatalf("exit code %d (%v), want %d; output:\n%s", code, err, cliobs.ExitUsage, out)
 			}
 			if !strings.Contains(string(out), "bad flag: "+tc.flag+" ") {
 				t.Errorf("stderr does not name %s:\n%s", tc.flag, out)

@@ -53,6 +53,18 @@ func main() {
 }
 
 func run(ctx context.Context, length, pitch, wgnd, rdrv, cload, tr, wmin, wmax float64, nCand int, withL bool) error {
+	for _, err := range []error{
+		cliobs.CheckPositiveFlag("len", length),
+		cliobs.CheckAxisFlags("wmin", wmin, "wmax", wmax, "n", nCand),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	// The spacing axis runs from 0.2 µm up to twice the pitch.
+	if !(pitch > 0.1) {
+		return fmt.Errorf("%w: -pitch %g (want above 0.1)", cliobs.ErrBadFlag, pitch)
+	}
 	tech := core.Technology{
 		Thickness:      units.Um(2),
 		Rho:            units.RhoCopper,
@@ -81,9 +93,6 @@ func run(ctx context.Context, length, pitch, wgnd, rdrv, cload, tr, wmin, wmax f
 		LoadCap:     cload * units.FemtoFarad,
 		RiseTime:    tr * units.PicoSecond,
 		WithL:       withL,
-	}
-	if nCand < 2 {
-		return fmt.Errorf("need at least 2 candidates")
 	}
 	widths := table.LogAxis(units.Um(wmin), units.Um(wmax), nCand)
 	best, pts, err := sizing.OptimizeCtx(ctx, ext, spec, widths)

@@ -1,6 +1,7 @@
 package clockrlc_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func Example_extractSegment() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rlc, err := ext.SegmentRLC(clockrlc.Segment{
+	rlc, err := ext.SegmentRLCCtx(context.Background(), clockrlc.Segment{
 		Length:      clockrlc.Um(2000),
 		SignalWidth: clockrlc.Um(8),
 		GroundWidth: clockrlc.Um(4),

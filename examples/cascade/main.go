@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const fsig = 6.4e9
 
 	fmt.Println("Table I reproduction — linear cascading comparisons")
@@ -30,7 +32,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		report(b.name, tree, fsig, b.paper)
+		report(ctx, b.name, tree, fsig, b.paper)
 	}
 
 	// A custom tree: 3-way branch with unequal arms, 2 µm wires.
@@ -50,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("custom 3-way", tree, fsig, math.NaN())
+	report(ctx, "custom 3-way", tree, fsig, math.NaN())
 
 	// Show per-segment contributions of the custom tree.
 	fmt.Println("\nper-segment loop inductances of the custom tree:")
@@ -63,12 +65,12 @@ func main() {
 	}
 }
 
-func report(name string, tree *clockrlc.CascadeTree, fsig, paperErr float64) {
-	full, err := tree.FullLoopL(fsig)
+func report(ctx context.Context, name string, tree *clockrlc.CascadeTree, fsig, paperErr float64) {
+	full, err := tree.FullLoopLCtx(ctx, fsig)
 	if err != nil {
 		log.Fatal(err)
 	}
-	casc, err := tree.CascadedLoopL(fsig)
+	casc, err := tree.CascadedLoopLCtx(ctx, fsig)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	tech := clockrlc.Technology{
 		Thickness:      clockrlc.Um(2),
 		Rho:            clockrlc.RhoCopper,
@@ -41,7 +43,7 @@ func main() {
 		Spacing:     clockrlc.Um(1),
 		Shielding:   clockrlc.ShieldNone,
 	}
-	rlc, err := ext.SegmentRLC(seg)
+	rlc, err := ext.SegmentRLCCtx(ctx, seg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	tech := clockrlc.Technology{
 		Thickness:      clockrlc.Um(2),
 		Rho:            clockrlc.RhoCopper,
@@ -55,7 +57,7 @@ func main() {
 		imbalance := map[int]float64{0: 4}
 		var skews [2]float64
 		for i, withL := range []bool{false, true} {
-			arr, err := tree.Arrivals(clockrlc.ClockSimOptions{
+			arr, err := tree.ArrivalsCtx(ctx, clockrlc.ClockSimOptions{
 				WithL:         withL,
 				LeafLoadScale: imbalance,
 			})

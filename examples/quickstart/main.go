@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. Describe the technology: 2 µm thick copper clock routing in
 	// oxide, capacitive reference 2 µm below, inductive ground plane
 	// (for microstrip blocks) 2 µm below the layer.
@@ -46,7 +48,7 @@ func main() {
 		Spacing:     clockrlc.Um(1),
 		Shielding:   clockrlc.ShieldNone,
 	}
-	rlc, err := ext.SegmentRLC(seg)
+	rlc, err := ext.SegmentRLCCtx(ctx, seg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	tech := clockrlc.Technology{
 		Thickness:      clockrlc.Um(2),
 		Rho:            clockrlc.RhoCopper,
@@ -57,7 +59,7 @@ func main() {
 	}
 	fmt.Println("--- inductance screen ---")
 	for _, n := range nets {
-		rlc, err := ext.SegmentRLC(n.seg)
+		rlc, err := ext.SegmentRLCCtx(ctx, n.seg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +74,7 @@ func main() {
 	// --- 2. delay estimates vs simulation ------------------------
 	fmt.Println("\n--- closed-form delay vs transient simulation (clock spine) ---")
 	seg := nets[0].seg
-	rlc, err := ext.SegmentRLC(seg)
+	rlc, err := ext.SegmentRLCCtx(ctx, seg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package bus
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -104,7 +105,7 @@ func (s Spec) block(tech core.Technology) *geom.Block {
 // switching 0→1 V and every other signal quiet, and reports each
 // quiet victim's peak noise. probeVictim selects whose waveform is
 // returned (must be a victim).
-func Noise(e *core.Extractor, s Spec, aggressors []int, probeVictim int) (*Result, error) {
+func Noise(ctx context.Context, e *core.Extractor, s Spec, aggressors []int, probeVictim int) (*Result, error) {
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -230,7 +231,7 @@ func Noise(e *core.Extractor, s Spec, aggressors []int, probeVictim int) (*Resul
 			probes = append(probes, fmt.Sprintf("s%d.out", sig))
 		}
 	}
-	res, err := sim.Transient(nl, s.RiseTime/150, 20*s.RiseTime, probes)
+	res, err := sim.TransientCtx(ctx, nl, s.RiseTime/150, 20*s.RiseTime, probes)
 	if err != nil {
 		return nil, fmt.Errorf("bus: %w", err)
 	}

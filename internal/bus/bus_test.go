@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func extractor(t *testing.T) *core.Extractor {
 			Spacings: table.LogAxis(units.Um(0.5), units.Um(4), 3),
 			Lengths:  table.LogAxis(units.Um(400), units.Um(4000), 3),
 		}
-		ext, eErr = core.NewExtractor(tech, 6.4e9, axes, []geom.Shielding{geom.ShieldNone})
+		ext, eErr = core.NewExtractorCtx(context.Background(), tech, 6.4e9, axes, []geom.Shielding{geom.ShieldNone})
 	})
 	if eErr != nil {
 		t.Fatal(eErr)
@@ -53,7 +54,7 @@ func fiveBitBus() Spec {
 }
 
 func TestAdjacentAggressorInjectsNoise(t *testing.T) {
-	res, err := Noise(extractor(t), fiveBitBus(), []int{1}, 2)
+	res, err := Noise(context.Background(), extractor(t), fiveBitBus(), []int{1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +79,15 @@ func TestAdjacentAggressorInjectsNoise(t *testing.T) {
 func TestSuperposition(t *testing.T) {
 	e := extractor(t)
 	spec := fiveBitBus()
-	a0, err := Noise(e, spec, []int{0}, 2)
+	a0, err := Noise(context.Background(), e, spec, []int{0}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a4, err := Noise(e, spec, []int{4}, 2)
+	a4, err := Noise(context.Background(), e, spec, []int{4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := Noise(e, spec, []int{0, 4}, 2)
+	both, err := Noise(context.Background(), e, spec, []int{0, 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSuperposition(t *testing.T) {
 // Symmetry: victims equidistant from a central aggressor see the same
 // noise.
 func TestSymmetricNeighbours(t *testing.T) {
-	res, err := Noise(extractor(t), fiveBitBus(), []int{2}, 1)
+	res, err := Noise(context.Background(), extractor(t), fiveBitBus(), []int{2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +132,11 @@ func TestSymmetricNeighbours(t *testing.T) {
 func TestMiddleVictimWorstCase(t *testing.T) {
 	e := extractor(t)
 	spec := fiveBitBus()
-	mid, err := Noise(e, spec, []int{0, 1, 3, 4}, 2)
+	mid, err := Noise(context.Background(), e, spec, []int{0, 1, 3, 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge, err := Noise(e, spec, []int{1, 2, 3, 4}, 0)
+	edge, err := Noise(context.Background(), e, spec, []int{1, 2, 3, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,21 +149,21 @@ func TestBusValidation(t *testing.T) {
 	e := extractor(t)
 	bad := fiveBitBus()
 	bad.N = 0
-	if _, err := Noise(e, bad, nil, 0); err == nil {
+	if _, err := Noise(context.Background(), e, bad, nil, 0); err == nil {
 		t.Error("accepted empty bus")
 	}
-	if _, err := Noise(e, fiveBitBus(), []int{9}, 0); err == nil {
+	if _, err := Noise(context.Background(), e, fiveBitBus(), []int{9}, 0); err == nil {
 		t.Error("accepted out-of-range aggressor")
 	}
-	if _, err := Noise(e, fiveBitBus(), []int{2}, 2); err == nil {
+	if _, err := Noise(context.Background(), e, fiveBitBus(), []int{2}, 2); err == nil {
 		t.Error("accepted aggressor as probe victim")
 	}
-	if _, err := Noise(e, fiveBitBus(), []int{1}, 7); err == nil {
+	if _, err := Noise(context.Background(), e, fiveBitBus(), []int{1}, 7); err == nil {
 		t.Error("accepted out-of-range probe")
 	}
 	bad = fiveBitBus()
 	bad.Spacing = 0
-	if _, err := Noise(e, bad, []int{1}, 2); err == nil {
+	if _, err := Noise(context.Background(), e, bad, []int{1}, 2); err == nil {
 		t.Error("accepted zero spacing")
 	}
 }

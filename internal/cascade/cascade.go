@@ -9,9 +9,9 @@
 // inductances extracted in isolation. The package provides both
 // sides:
 //
-//   - CascadedLoopL: per-segment isolated loop solves combined by the
+//   - CascadedLoopLCtx: per-segment isolated loop solves combined by the
 //     series (path) / parallel (branch) rule;
-//   - FullLoopL: a rigorous whole-tree PEEC solve with every mutual
+//   - FullLoopLCtx: a rigorous whole-tree PEEC solve with every mutual
 //     coupling between every pair of parallel bars anywhere in the
 //     tree, the stand-in for the paper's whole-structure RI3 runs.
 //
@@ -230,18 +230,12 @@ func (t *Tree) SegmentLoopL(i int, f float64) (float64, error) {
 	return sol.L, nil
 }
 
-// CascadedLoopL computes the tree's loop inductance by the paper's
+// CascadedLoopLCtx computes the tree's loop inductance by the paper's
 // series/parallel rule: walking from the root, a path adds segment
 // loop inductances in series, and sibling branches combine in
 // parallel (all sinks are shorted ends of the loop). For Fig. 6(a)
-// this reproduces Lab + (Lbc + Lce) ∥ (Lbd + Ldf).
-func (t *Tree) CascadedLoopL(f float64) (float64, error) {
-	return t.CascadedLoopLCtx(context.Background(), f)
-}
-
-// CascadedLoopLCtx is CascadedLoopL with its span parented through
-// ctx (obs.StartCtx) — the concurrency-correct form when several
-// trees reduce in parallel.
+// this reproduces Lab + (Lbc + Lce) ∥ (Lbd + Ldf). Its span parents
+// through ctx, so several trees can reduce in parallel.
 func (t *Tree) CascadedLoopLCtx(ctx context.Context, f float64) (float64, error) {
 	_, sp := obs.StartCtx(ctx, "cascade.cascaded_loop_l")
 	defer sp.End()
@@ -302,17 +296,12 @@ func (t *Tree) CascadedLoopLCtx(ctx context.Context, f float64) (float64, error)
 	return l, nil
 }
 
-// FullLoopL performs the whole-tree extraction: every bar of every
+// FullLoopLCtx performs the whole-tree extraction: every bar of every
 // segment becomes a branch with resistance and full partial mutual
 // couplings to all other bars (orthogonal pairs are exactly zero),
 // ground wires of adjoining segments are merged at junctions, signal
 // and ground are shorted at every sink, and a 1 A loop drive is
 // applied at the root. Returns the loop inductance Im(Z)/ω.
-func (t *Tree) FullLoopL(f float64) (float64, error) {
-	return t.FullLoopLCtx(context.Background(), f)
-}
-
-// FullLoopLCtx is FullLoopL with context-parented tracing.
 func (t *Tree) FullLoopLCtx(ctx context.Context, f float64) (float64, error) {
 	if f <= 0 {
 		return 0, fmt.Errorf("cascade: frequency must be positive, got %g", f)

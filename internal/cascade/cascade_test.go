@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,11 +30,11 @@ func straightTree(t *testing.T, n int, segLen float64) *Tree {
 
 func TestSingleSegmentCascadeEqualsFull(t *testing.T) {
 	tr := straightTree(t, 1, units.Um(400))
-	casc, err := tr.CascadedLoopL(fsig)
+	casc, err := tr.CascadedLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := tr.FullLoopL(fsig)
+	full, err := tr.FullLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +48,11 @@ func TestSingleSegmentCascadeEqualsFull(t *testing.T) {
 
 func TestCollinearChainCascades(t *testing.T) {
 	tr := straightTree(t, 3, units.Um(300))
-	casc, err := tr.CascadedLoopL(fsig)
+	casc, err := tr.CascadedLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := tr.FullLoopL(fsig)
+	full, err := tr.FullLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func TestFig6aTableIError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	casc, err := tr.CascadedLoopL(fsig)
+	casc, err := tr.CascadedLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := tr.FullLoopL(fsig)
+	full, err := tr.FullLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +109,11 @@ func TestFig6bTableIError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	casc, err := tr.CascadedLoopL(fsig)
+	casc, err := tr.CascadedLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := tr.FullLoopL(fsig)
+	full, err := tr.FullLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestCascadedCombinationRule(t *testing.T) {
 	b1 := l[1] + l[2]
 	b2 := l[3] + l[4]
 	want := l[0] + b1*b2/(b1+b2)
-	got, err := tr.CascadedLoopL(fsig)
+	got, err := tr.CascadedLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestNewTreeValidation(t *testing.T) {
 
 func TestFullLoopLErrors(t *testing.T) {
 	tr := straightTree(t, 1, units.Um(100))
-	if _, err := tr.FullLoopL(0); err == nil {
+	if _, err := tr.FullLoopLCtx(context.Background(), 0); err == nil {
 		t.Error("accepted zero frequency")
 	}
 	if _, err := tr.SegmentLoopL(9, fsig); err == nil {

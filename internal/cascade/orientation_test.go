@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,11 +30,11 @@ func TestUTurnOrientationSign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := tr.FullLoopL(fsig)
+	full, err := tr.FullLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	casc, err := tr.CascadedLoopL(fsig)
+	casc, err := tr.CascadedLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +54,11 @@ func TestUTurnOrientationSign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullS, err := trShielded.FullLoopL(fsig)
+	fullS, err := trShielded.FullLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cascS, err := trShielded.CascadedLoopL(fsig)
+	cascS, err := trShielded.CascadedLoopLCtx(context.Background(), fsig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDirectionMirrorSymmetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := tr.FullLoopL(fsig)
+		full, err := tr.FullLoopLCtx(context.Background(), fsig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,10 +105,10 @@ func TestUTurnDecouplesWithDistance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full, err = tr.FullLoopL(fsig); err != nil {
+		if full, err = tr.FullLoopLCtx(context.Background(), fsig); err != nil {
 			t.Fatal(err)
 		}
-		if casc, err = tr.CascadedLoopL(fsig); err != nil {
+		if casc, err = tr.CascadedLoopLCtx(context.Background(), fsig); err != nil {
 			t.Fatal(err)
 		}
 		return full, casc

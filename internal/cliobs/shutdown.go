@@ -3,6 +3,8 @@ package cliobs
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -12,12 +14,43 @@ import (
 // Conventional exit codes shared by all five cmds. Interrupted runs
 // exit 128+signal (the shell convention), so scripts driving the
 // tools can distinguish "the work failed" from "I stopped it".
+// ExitUsage is the status the flag package uses for a flag it cannot
+// parse; ExitCode returns it for ErrBadFlag too.
 const (
 	ExitOK      = 0
 	ExitFailure = 1
+	ExitUsage   = 2
 	ExitSIGINT  = 128 + 2  // 130
 	ExitSIGTERM = 128 + 15 // 143
 )
+
+// ErrBadFlag marks a flag value a cmd cannot run with. Cmds check
+// their flags before any work and wrap this error, naming the flag.
+var ErrBadFlag = errors.New("bad flag")
+
+// CheckPositiveFlag refuses a -name value that is not a finite
+// positive number.
+func CheckPositiveFlag(name string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("%w: -%s %g (want a finite positive number)", ErrBadFlag, name, v)
+	}
+	return nil
+}
+
+// CheckAxisFlags validates the flags of one log-spaced sweep axis: at
+// least two points (-count) and 0 < -lo < -hi, both finite.
+func CheckAxisFlags(lo string, min float64, hi string, max float64, count string, n int) error {
+	if n < 2 {
+		return fmt.Errorf("%w: -%s %d (want at least 2)", ErrBadFlag, count, n)
+	}
+	if err := CheckPositiveFlag(lo, min); err != nil {
+		return err
+	}
+	if !(max > min) || math.IsInf(max, 1) {
+		return fmt.Errorf("%w: -%s %g (want finite and above -%s %g)", ErrBadFlag, hi, max, lo, min)
+	}
+	return nil
+}
 
 // Shutdown is a cmd's graceful-termination state: a context cancelled
 // by the first SIGINT/SIGTERM, a record of which signal arrived (for
@@ -79,11 +112,15 @@ func (s *Shutdown) Stop() {
 func (s *Shutdown) Signaled() int { return int(s.sig.Load()) }
 
 // ExitCode maps a run's outcome to the process exit code: 0 for
-// success, 128+signal when a signal cancelled the run (the error is
-// the cancellation surfacing), 1 for genuine failures.
+// success, ExitUsage for ErrBadFlag, 128+signal when a signal
+// cancelled the run (the error is the cancellation surfacing), 1 for
+// genuine failures.
 func (s *Shutdown) ExitCode(err error) int {
 	if err == nil {
 		return ExitOK
+	}
+	if errors.Is(err, ErrBadFlag) {
+		return ExitUsage
 	}
 	if n := s.Signaled(); n != 0 &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {

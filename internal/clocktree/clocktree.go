@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"clockrlc/internal/core"
 	"clockrlc/internal/netlist"
@@ -33,6 +34,10 @@ var (
 // ErrNoLevels is returned by NewTree for a tree without levels.
 var ErrNoLevels = errors.New("clocktree: need at least one level")
 
+// maxLevels bounds a tree's depth: the walk indexes 4^levels leaves in
+// an int64.
+const maxLevels = 30
+
 // Buffer is the clock buffer model.
 type Buffer struct {
 	// DriveRes is the Thevenin output resistance in Ω.
@@ -45,10 +50,23 @@ type Buffer struct {
 	OutSlew float64
 }
 
-// Validate checks the buffer model.
+// Validate checks the buffer model, naming the offending field: every
+// field must be finite, IntrinsicDelay non-negative and the others
+// positive.
 func (b Buffer) Validate() error {
-	if b.DriveRes <= 0 || b.InputCap <= 0 || b.OutSlew <= 0 || b.IntrinsicDelay < 0 {
-		return fmt.Errorf("clocktree: buffer fields out of range: %+v", b)
+	for _, f := range []struct {
+		name   string
+		v      float64
+		zeroOK bool
+	}{
+		{"DriveRes", b.DriveRes, false},
+		{"InputCap", b.InputCap, false},
+		{"IntrinsicDelay", b.IntrinsicDelay, true},
+		{"OutSlew", b.OutSlew, false},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 || (f.v == 0 && !f.zeroOK) {
+			return fmt.Errorf("clocktree: buffer %s = %g out of range", f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -73,6 +91,9 @@ func NewTree(levels []Level, buf Buffer, ext *core.Extractor) (*Tree, error) {
 	if len(levels) == 0 {
 		return nil, ErrNoLevels
 	}
+	if len(levels) > maxLevels {
+		return nil, fmt.Errorf("clocktree: %d levels overflows leaf indexing (max %d)", len(levels), maxLevels)
+	}
 	if err := buf.Validate(); err != nil {
 		return nil, err
 	}
@@ -80,13 +101,12 @@ func NewTree(levels []Level, buf Buffer, ext *core.Extractor) (*Tree, error) {
 		return nil, errors.New("clocktree: nil extractor")
 	}
 	for i, l := range levels {
-		if l.TrunkLen <= 0 || l.ArmLen <= 0 {
-			return nil, fmt.Errorf("clocktree: level %d has non-positive wire lengths", i)
-		}
-		s := l.Segment
-		s.Length = l.TrunkLen
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("clocktree: level %d: %w", i, err)
+		for _, length := range []float64{l.TrunkLen, l.ArmLen} {
+			s := l.Segment
+			s.Length = length
+			if err := s.Validate(); err != nil {
+				return nil, fmt.Errorf("clocktree: level %d: %w", i, err)
+			}
 		}
 	}
 	return &Tree{Levels: levels, Buffer: buf, Ext: ext}, nil
@@ -96,10 +116,11 @@ func NewTree(levels []Level, buf Buffer, ext *core.Extractor) (*Tree, error) {
 // given half-span: level ℓ's trunk reaches halfSpan/2^ℓ and its arms
 // half of that, halving each level. All levels share the segment
 // profile (widths typically taper in real designs; callers can edit
-// the returned slice). A non-positive nLevels yields no levels, which
-// NewTree rejects.
+// the returned slice). A non-positive nLevels yields no levels, and a
+// count above maxLevels yields maxLevels+1 levels rather than a huge
+// allocation; NewTree rejects both.
 func HTreeLevels(halfSpan float64, nLevels int, seg core.Segment) []Level {
-	levels := make([]Level, max(nLevels, 0))
+	levels := make([]Level, min(max(nLevels, 0), maxLevels+1))
 	span := halfSpan
 	for i := range levels {
 		levels[i] = Level{TrunkLen: span, ArmLen: span / 2, Segment: seg}
@@ -122,12 +143,12 @@ type SimOptions struct {
 	// L by the given multipliers (process variation). The paper's
 	// proposal keeps L at 1 while R and C vary; setting the third
 	// entry exercises the full variation for comparison. Indexed by
-	// stage instance id as produced by Arrivals; nil means nominal
+	// stage instance id as produced by ArrivalsCtx; nil means nominal
 	// everywhere.
 	Scale map[int][3]float64
 	// LeafLoadScale optionally scales the load capacitance of
 	// individual leaves to model sink load imbalance. Keys are leaf
-	// indices in H-order — the order Arrivals returns them: leaf
+	// indices in H-order — the order ArrivalsCtx returns them: leaf
 	// stages left to right across the last level, four sinks per
 	// stage, so leaves 4k..4k+3 hang off the k-th leaf stage. Absent
 	// keys mean nominal (×1) load.
@@ -140,7 +161,7 @@ type SimOptions struct {
 	// paranoia runs, at O(4^levels) instead of O(distinct stages)
 	// transient cost.
 	NoStageDedup bool
-	// SampleCap bounds the reservoir of raw arrival samples Analyze
+	// SampleCap bounds the reservoir of raw arrival samples AnalyzeCtx
 	// keeps alongside the running statistics (0 = none). The reservoir
 	// is deterministic: the same tree and options select the same
 	// sample at any checkpoint/resume schedule.
@@ -246,31 +267,27 @@ func (t *Tree) simulateStage(ctx context.Context, levelIdx int, stageID int64, o
 	return delays, nil
 }
 
-// Arrivals simulates the full tree and returns the clock arrival time
+// ArrivalsCtx simulates the full tree and returns the clock arrival time
 // at every leaf (4^levels leaves, indexed in H-order), including
 // buffer intrinsic delays. Stage instance ids are assigned in
 // level-order (BFS) starting at 0 for the root stage — stage k's
 // children are 4k+1..4k+4 — and are stable for use with
 // SimOptions.Scale. For trees too deep to materialise 4^levels
-// float64s, use Analyze, which streams the same walk into bounded
+// float64s, use AnalyzeCtx, which streams the same walk into bounded
 // statistics.
-func (t *Tree) Arrivals(opts SimOptions) ([]float64, error) {
-	return t.ArrivalsCtx(context.Background(), opts)
-}
-
-// ArrivalsCtx is Arrivals honouring cancellation (each stage's
-// transient polls ctx, and the walk itself polls between stages) with
-// context-parented tracing: every clocktree.stage span — and the
-// extraction and transient spans inside it — parents under the
-// arrivals span. Identical stage instances share one simulated
-// transient (see Analyze); results are bit-identical to the exact
-// per-instance walk.
+//
+// It honours cancellation (each stage's transient polls ctx, and the
+// walk itself polls between stages) with context-parented tracing:
+// every clocktree.stage span — and the extraction and transient spans
+// inside it — parents under the arrivals span. Identical stage
+// instances share one simulated transient (see AnalyzeCtx); results
+// are bit-identical to the exact per-instance walk.
 func (t *Tree) ArrivalsCtx(ctx context.Context, opts SimOptions) ([]float64, error) {
 	_, arrivals, err := t.analyzeStream(ctx, opts, nil, true)
 	return arrivals, err
 }
 
-// Analyze simulates the full tree as a streaming walk and returns
+// AnalyzeCtx simulates the full tree as a streaming walk and returns
 // bounded arrival statistics instead of the 4^levels arrivals slice:
 // min/max (with leaf indices), sum/sum-of-squares, a fixed-size log
 // histogram and an optional bounded sample reservoir. Identical stage
@@ -278,13 +295,10 @@ func (t *Tree) ArrivalsCtx(ctx context.Context, opts SimOptions) ([]float64, err
 // simulated once and memoized, so a nominal H-tree costs O(levels)
 // transients instead of O(4^levels): the million-sink tree ROADMAP
 // item 1 asks for is ~10 transients plus arithmetic.
-func (t *Tree) Analyze(opts SimOptions) (*ArrivalStats, error) {
-	return t.AnalyzeCtx(context.Background(), opts, nil)
-}
-
-// AnalyzeCtx is Analyze honouring cancellation and, when ck is
-// non-nil, durably checkpointing the walk so a crash, OOM kill or
-// SIGKILL resumes instead of restarting — see Checkpoint.
+//
+// It honours cancellation and, when ck is non-nil, durably
+// checkpoints the walk so a crash, OOM kill or SIGKILL resumes
+// instead of restarting — see Checkpoint.
 func (t *Tree) AnalyzeCtx(ctx context.Context, opts SimOptions, ck *Checkpoint) (*ArrivalStats, error) {
 	stats, _, err := t.analyzeStream(ctx, opts, ck, false)
 	return stats, err
@@ -305,23 +319,9 @@ type SkewReport struct {
 	Leaves int64
 }
 
-// Skew runs the tree and reduces to the skew (max − min arrival).
-func (t *Tree) Skew(opts SimOptions) (float64, error) {
-	rep, err := t.SkewReport(opts)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Skew, nil
-}
-
-// SkewReport runs the tree (streaming; no full arrivals slice) and
-// returns the skew together with the extreme arrivals and the leaf
-// indices that set them.
-func (t *Tree) SkewReport(opts SimOptions) (SkewReport, error) {
-	return t.SkewReportCtx(context.Background(), opts)
-}
-
-// SkewReportCtx is SkewReport honouring cancellation.
+// SkewReportCtx runs the tree (streaming; no full arrivals slice) and
+// returns the skew (max − min arrival) together with the extreme
+// arrivals and the leaf indices that set them.
 func (t *Tree) SkewReportCtx(ctx context.Context, opts SimOptions) (SkewReport, error) {
 	stats, err := t.AnalyzeCtx(ctx, opts, nil)
 	if err != nil {

@@ -1,8 +1,10 @@
 package clocktree
 
 import (
+	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -38,7 +40,7 @@ func sharedExtractor(t *testing.T) *core.Extractor {
 			Spacings: table.LogAxis(units.Um(0.8), units.Um(22), 6),
 			Lengths:  table.LogAxis(units.Um(100), units.Um(6000), 6),
 		}
-		extOne, extErr = core.NewExtractor(tech, fsig, axes, nil)
+		extOne, extErr = core.NewExtractorCtx(context.Background(), tech, fsig, axes, nil)
 	})
 	if extErr != nil {
 		t.Fatal(extErr)
@@ -93,7 +95,7 @@ func TestHTreeLevelsHalving(t *testing.T) {
 
 func TestSymmetricTreeHasZeroSkew(t *testing.T) {
 	tr := testTree(t, 2)
-	arr, err := tr.Arrivals(SimOptions{WithL: true})
+	arr, err := tr.ArrivalsCtx(context.Background(), SimOptions{WithL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +126,11 @@ func skewOf(arr []float64) (float64, int, int) {
 
 func TestInductanceIncreasesStageDelay(t *testing.T) {
 	tr := testTree(t, 1)
-	rc, err := tr.Arrivals(SimOptions{WithL: false})
+	rc, err := tr.ArrivalsCtx(context.Background(), SimOptions{WithL: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rlc, err := tr.Arrivals(SimOptions{WithL: true})
+	rlc, err := tr.ArrivalsCtx(context.Background(), SimOptions{WithL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,15 +149,16 @@ func TestSkewWithLoadImbalance(t *testing.T) {
 	tr := testTree(t, 1)
 	// Leaf 0 carries 4× input load (fan-out difference).
 	opts := SimOptions{WithL: false, LeafLoadScale: map[int]float64{0: 4}}
-	skewRC, err := tr.Skew(opts)
+	repRC, err := tr.SkewReportCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.WithL = true
-	skewRLC, err := tr.Skew(opts)
+	repRLC, err := tr.SkewReportCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	skewRC, skewRLC := repRC.Skew, repRLC.Skew
 	if skewRC <= 0 || skewRLC <= 0 {
 		t.Fatalf("degenerate skews: rc=%g rlc=%g", skewRC, skewRLC)
 	}
@@ -169,11 +172,11 @@ func TestSkewWithLoadImbalance(t *testing.T) {
 
 func TestScalePerturbsArrivals(t *testing.T) {
 	tr := testTree(t, 1)
-	nom, err := tr.Arrivals(SimOptions{WithL: true})
+	nom, err := tr.ArrivalsCtx(context.Background(), SimOptions{WithL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pert, err := tr.Arrivals(SimOptions{
+	pert, err := tr.ArrivalsCtx(context.Background(), SimOptions{
 		WithL: true,
 		Scale: map[int][3]float64{0: {1.3, 1.3, 1}},
 	})
@@ -211,5 +214,42 @@ func TestNewTreeValidation(t *testing.T) {
 	seg.SignalWidth = 0
 	if _, err := NewTree(HTreeLevels(units.Um(1000), 1, seg), testBuffer(), ext); err == nil {
 		t.Error("accepted bad segment profile")
+	}
+}
+
+// Non-finite buffer fields used to slip past the sign comparisons: a
+// NaN IntrinsicDelay gave a NaN skew with a nil error, and a NaN
+// DriveRes surfaced as a "singular DC operating point". Each is now
+// refused by NewTree with an error naming the field; so is a non-finite
+// arm length, and a tree deeper than the walk can index.
+func TestNewTreeRejectsNonFinite(t *testing.T) {
+	ext := sharedExtractor(t)
+	for _, tc := range []struct {
+		field string
+		set   func(*Buffer, float64)
+	}{
+		{"DriveRes", func(b *Buffer, v float64) { b.DriveRes = v }},
+		{"InputCap", func(b *Buffer, v float64) { b.InputCap = v }},
+		{"IntrinsicDelay", func(b *Buffer, v float64) { b.IntrinsicDelay = v }},
+		{"OutSlew", func(b *Buffer, v float64) { b.OutSlew = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			buf := testBuffer()
+			tc.set(&buf, v)
+			_, err := NewTree(HTreeLevels(units.Um(1000), 1, testSegment()), buf, ext)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = %v: NewTree = %v, want an error naming %s", tc.field, v, err, tc.field)
+			}
+		}
+	}
+	lv := HTreeLevels(units.Um(1000), 1, testSegment())
+	lv[0].ArmLen = math.NaN()
+	if _, err := NewTree(lv, testBuffer(), ext); err == nil {
+		t.Error("accepted a NaN arm length")
+	}
+	if lv := HTreeLevels(units.Um(1000), 1<<40, testSegment()); len(lv) != maxLevels+1 {
+		t.Errorf("HTreeLevels(1<<40) returned %d levels, want %d", len(lv), maxLevels+1)
+	} else if _, err := NewTree(lv, testBuffer(), ext); err == nil {
+		t.Error("accepted a tree deeper than the walk can index")
 	}
 }

@@ -53,7 +53,7 @@ var (
 // sub-picosecond repeater stages to absurd microsecond arrivals.
 const histBuckets = 96
 
-// ArrivalStats is the bounded-memory summary Analyze produces in
+// ArrivalStats is the bounded-memory summary AnalyzeCtx produces in
 // place of the 4^levels arrivals slice. All fields accumulate in leaf
 // H-order, so a checkpointed-and-resumed run produces bit-identical
 // values to an uninterrupted one.
@@ -334,7 +334,7 @@ func (t *Tree) analyzeStream(ctx context.Context, opts SimOptions, ck *Checkpoin
 	defer sp.End()
 	levels := len(t.Levels)
 	sp.SetAttr("levels", levels)
-	if levels > 30 {
+	if levels > maxLevels {
 		return nil, nil, fmt.Errorf("clocktree: %d levels overflows leaf indexing", levels)
 	}
 	opts = opts.withDefaults(t.Buffer)

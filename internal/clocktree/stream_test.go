@@ -69,11 +69,11 @@ func TestStreamedStatsBitIdentical(t *testing.T) {
 
 	exact := opts
 	exact.NoStageDedup = true
-	arrExact, err := tr.Arrivals(exact)
+	arrExact, err := tr.ArrivalsCtx(context.Background(), exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrMemo, err := tr.Arrivals(opts)
+	arrMemo, err := tr.ArrivalsCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestStreamedStatsBitIdentical(t *testing.T) {
 		}
 	}
 
-	stats, err := tr.Analyze(opts)
+	stats, err := tr.AnalyzeCtx(context.Background(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestStreamedStatsBitIdentical(t *testing.T) {
 
 	// The reservoir is a pure function of the walk: a second run keeps
 	// the identical sample.
-	again, err := tr.Analyze(opts)
+	again, err := tr.AnalyzeCtx(context.Background(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestStreamedStatsBitIdentical(t *testing.T) {
 // needs one transient per level, everything else is memo hits.
 func TestNominalTreeDedup(t *testing.T) {
 	tr := testTree(t, 3)
-	stats, err := tr.Analyze(SimOptions{WithL: true})
+	stats, err := tr.AnalyzeCtx(context.Background(), SimOptions{WithL: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,17 +151,18 @@ func TestNominalTreeDedup(t *testing.T) {
 	}
 }
 
-// TestSkewReportNamesLeaves checks satellite 2: SkewReport carries
-// the same skew as the legacy path plus the extreme leaf indices.
+// TestSkewReportNamesLeaves checks that SkewReportCtx carries the same
+// skew as sim.Skew over the full arrivals plus the extreme leaf
+// indices.
 func TestSkewReportNamesLeaves(t *testing.T) {
 	tr := testTree(t, 2)
 	opts := perturbedOpts()
-	arr, err := tr.Arrivals(opts)
+	arr, err := tr.ArrivalsCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	skew, early, late := sim.Skew(arr)
-	rep, err := tr.SkewReport(opts)
+	rep, err := tr.SkewReportCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +174,6 @@ func TestSkewReportNamesLeaves(t *testing.T) {
 	}
 	if rep.Leaves != int64(len(arr)) {
 		t.Errorf("Leaves = %d, want %d", rep.Leaves, len(arr))
-	}
-	legacy, err := tr.Skew(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(legacy) != math.Float64bits(rep.Skew) {
-		t.Errorf("Skew() = %v, SkewReport().Skew = %v", legacy, rep.Skew)
 	}
 }
 
@@ -193,7 +187,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	opts.SampleCap = 8
 	ctx := context.Background()
 
-	ref, err := tr.Analyze(opts)
+	ref, err := tr.AnalyzeCtx(context.Background(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +233,7 @@ func TestResumeDegradesOnCorruptState(t *testing.T) {
 	tr := testTree(t, 2)
 	opts := SimOptions{WithL: true}
 	ctx := context.Background()
-	ref, err := tr.Analyze(opts)
+	ref, err := tr.AnalyzeCtx(context.Background(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +435,7 @@ func TestCancelInsideCheckpointWrite(t *testing.T) {
 func TestCheckpointSaveFailureDegrades(t *testing.T) {
 	tr := testTree(t, 2)
 	opts := SimOptions{WithL: true}
-	ref, err := tr.Analyze(opts)
+	ref, err := tr.AnalyzeCtx(context.Background(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +473,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	}
 	w.stats.Hist[histBucket(1e-12)] = 7
 	w.memo = map[stageSig][4]float64{
-		{level: 1, scale: nominalScale, loads: nominalLoads}: {1, 2, 3, 4},
+		{level: 1, scale: nominalScale, loads: nominalLoads}:                    {1, 2, 3, 4},
 		{level: 2, scale: [3]float64{1.1, 1, 1}, loads: [4]float64{1, 2, 1, 1}}: {5, 6, 7, 8},
 	}
 	w.stack = []frame{

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -26,21 +28,23 @@ func batchSegs(n int) []Segment {
 }
 
 // Batch extraction must return exactly what a serial loop over
-// SegmentRLC returns, in input order, at any worker count — the
+// SegmentRLCCtx returns, in input order, at any worker count — the
 // lookups are pure reads, so fan-out cannot change a single bit.
 func TestSegmentsRLCMatchesSerial(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
 	segs := batchSegs(24)
 	want := make([]struct{ r, l, c float64 }, len(segs))
 	for i, s := range segs {
-		rlc, err := e.SegmentRLC(s)
+		rlc, err := e.SegmentRLCCtx(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = struct{ r, l, c float64 }{rlc.R, rlc.L, rlc.C}
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 4, 16} {
-		got, err := Batch{Workers: workers}.SegmentsRLC(e, segs)
+		runtime.GOMAXPROCS(workers)
+		got, err := e.SegmentsRLCCtx(context.Background(), segs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,21 +58,13 @@ func TestSegmentsRLCMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	// The GOMAXPROCS shorthand takes the same path.
-	got, err := e.SegmentsRLC(segs[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[2].L != want[2].l {
-		t.Error("Extractor.SegmentsRLC disagrees with Batch")
-	}
 }
 
 func TestSegmentsRLCErrorNamesSegment(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
 	segs := batchSegs(8)
 	segs[5].Length = -1
-	_, err := Batch{Workers: 4}.SegmentsRLC(e, segs)
+	_, err := e.SegmentsRLCCtx(context.Background(), segs)
 	if err == nil {
 		t.Fatal("batch accepted an invalid segment")
 	}
@@ -79,13 +75,13 @@ func TestSegmentsRLCErrorNamesSegment(t *testing.T) {
 
 func TestSegmentsRLCEmptyAndCounters(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
-	out, err := e.SegmentsRLC(nil)
+	out, err := e.SegmentsRLCCtx(context.Background(), nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(out))
 	}
 	segs0 := obs.GetCounter("core.batch_segments").Value()
 	runs0 := obs.GetCounter("core.batch_runs").Value()
-	if _, err := e.SegmentsRLC(batchSegs(6)); err != nil {
+	if _, err := e.SegmentsRLCCtx(context.Background(), batchSegs(6)); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.GetCounter("core.batch_segments").Value() - segs0; got != 6 {
@@ -105,24 +101,24 @@ func TestExtractorCacheWarmConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	shieldings := []geom.Shielding{geom.ShieldNone}
-	cold, err := NewExtractor(testTech(), fsig, testAxes(), shieldings, WithTableCache(cache))
+	cold, err := NewExtractorCtx(context.Background(), testTech(), fsig, testAxes(), shieldings, WithTableCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
 	solves := obs.GetCounter("table.solver_calls")
 	solves0 := solves.Value()
-	warm, err := NewExtractor(testTech(), fsig, testAxes(), shieldings, WithTableCache(cache))
+	warm, err := NewExtractorCtx(context.Background(), testTech(), fsig, testAxes(), shieldings, WithTableCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := solves.Value() - solves0; got != 0 {
 		t.Errorf("warm construction ran %d field-solver calls, want 0", got)
 	}
-	a, err := cold.LoopL(fig1Segment())
+	a, err := cold.LoopLCtx(context.Background(), fig1Segment())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := warm.LoopL(fig1Segment())
+	b, err := warm.LoopLCtx(context.Background(), fig1Segment())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +126,11 @@ func TestExtractorCacheWarmConstruction(t *testing.T) {
 		t.Errorf("cache-built extractor drifted: %g vs %g", a, b)
 	}
 	// The batch path rides the cached tables identically.
-	batch, err := warm.SegmentsRLC(batchSegs(5))
+	batch, err := warm.SegmentsRLCCtx(context.Background(), batchSegs(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := cold.SegmentRLC(batchSegs(5)[0])
+	serial, err := cold.SegmentRLCCtx(context.Background(), batchSegs(5)[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,16 +196,12 @@ func (e *Extractor) checkEngine() *check.Engine {
 	return check.Active()
 }
 
-// NewExtractor builds the inductance tables for the requested
+// NewExtractorCtx builds the inductance tables for the requested
 // shielding configurations (nil selects ShieldNone and
 // ShieldMicrostrip) over the given axes and returns a ready extractor.
-func NewExtractor(tech Technology, freq float64, axes table.Axes, shieldings []geom.Shielding, opts ...Option) (*Extractor, error) {
-	return NewExtractorCtx(context.Background(), tech, freq, axes, shieldings, opts...)
-}
-
-// NewExtractorCtx is NewExtractor honouring cancellation through the
-// table builds (and the cache probe when WithTableCache is set): a
-// cancelled ctx drains the sweep workers and returns ctx.Err().
+// It honours cancellation through the table builds (and the cache
+// probe when WithTableCache is set): a cancelled ctx drains the sweep
+// workers and returns ctx.Err().
 func NewExtractorCtx(ctx context.Context, tech Technology, freq float64, axes table.Axes, shieldings []geom.Shielding, opts ...Option) (*Extractor, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -296,11 +292,6 @@ func sameFrequency(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// SetObserver routes the extractor's spans to o (nil restores the
-// process default). Covers extractors built via NewExtractorFromTables
-// or NewMultiExtractor, which predate the Option list.
-func (e *Extractor) SetObserver(o *obs.Observer) { e.obs = o }
-
 // Configure applies options to an already-constructed extractor — the
 // path a long-running server takes, where the table sets are shared
 // and cached but the check/lookup policies vary per request. Note
@@ -322,7 +313,7 @@ func (e *Extractor) Tables(sh geom.Shielding) (*table.Set, error) {
 	return set, nil
 }
 
-// LoopL composes the segment's loop inductance from table lookups.
+// LoopLCtx composes the segment's loop inductance from table lookups.
 //
 // Coplanar waveguide (no plane): with the symmetric grounds splitting
 // the return evenly,
@@ -335,15 +326,11 @@ func (e *Extractor) Tables(sh geom.Shielding) (*table.Set, error) {
 // shorted loops that the signal couples into, giving
 //
 //	Lloop = Ls − 2·Msg²/(Lg + Mgg).
-func (e *Extractor) LoopL(s Segment) (float64, error) {
-	return e.LoopLCtx(context.Background(), s)
-}
-
-// LoopLCtx is LoopL with its span parented through ctx
-// (obs.StartCtx), the form concurrent callers — core.Batch, the
-// clocktree stages — use so per-segment lookups attribute to the
-// right parent at any worker count. The context carries tracing
-// lineage only; lookups are pure reads and are not cancelled.
+//
+// The lookup span parents through ctx, so concurrent callers (the
+// clocktree stages) attribute per-segment lookups to the right parent
+// at any worker count. The context carries tracing lineage only;
+// lookups are pure reads and are not cancelled.
 func (e *Extractor) LoopLCtx(ctx context.Context, s Segment) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
@@ -429,10 +416,10 @@ func checkLoopComposition(eng *check.Engine, s Segment, ls, lg, msg, mgg, lloop 
 	return nil
 }
 
-// DirectLoopL solves the full 3-wire (+plane) system with the field
+// DirectLoopLCtx solves the full 3-wire (+plane) system with the field
 // engine at full fidelity (filament-subdivided conductors, proximity
 // crowding resolved), bypassing tables — the accuracy reference for
-// LoopL.
+// LoopLCtx.
 //
 // Note on the comparison: the table method composes the loop from
 // isolated 1-trace and 2-trace entries, so it cannot capture the
@@ -443,11 +430,6 @@ func checkLoopComposition(eng *check.Engine, s Segment, ls, lg, msg, mgg, lloop 
 // accurate to ~1–2 % (see the table package tests). This is the
 // inherent envelope of the paper's method, of a kind with its own
 // Table I cascading errors.
-func (e *Extractor) DirectLoopL(s Segment) (float64, error) {
-	return e.DirectLoopLCtx(context.Background(), s)
-}
-
-// DirectLoopLCtx is DirectLoopL with context-parented tracing.
 func (e *Extractor) DirectLoopLCtx(ctx context.Context, s Segment) (float64, error) {
 	_, sp := e.observer().StartCtx(ctx, "core.direct_loop_l")
 	defer sp.End()
@@ -489,17 +471,12 @@ func (e *Extractor) Block(s Segment) (*geom.Block, error) {
 	return blk, nil
 }
 
-// SegmentRLC extracts the lumped totals for one segment: analytic AC
-// resistance, grounded-total capacitance of the signal trace, and the
-// table-composed loop inductance.
-func (e *Extractor) SegmentRLC(s Segment) (netlist.SegmentRLC, error) {
-	return e.SegmentRLCCtx(context.Background(), s)
-}
-
-// SegmentRLCCtx is SegmentRLC with context-parented tracing: the
-// extraction span parents under the span carried by ctx and the loop
-// composition's lookup span nests under it, so a batch of concurrent
-// extractions attributes each lookup to its own segment.
+// SegmentRLCCtx extracts the lumped totals for one segment: analytic
+// AC resistance, grounded-total capacitance of the signal trace, and
+// the table-composed loop inductance. The extraction span parents
+// under the span carried by ctx and the loop composition's lookup span
+// nests under it, so concurrent extractions attribute each lookup to
+// its own segment.
 func (e *Extractor) SegmentRLCCtx(ctx context.Context, s Segment) (netlist.SegmentRLC, error) {
 	if err := s.Validate(); err != nil {
 		return netlist.SegmentRLC{}, err
@@ -527,16 +504,11 @@ func (e *Extractor) SegmentRLCCtx(ctx context.Context, s Segment) (netlist.Segme
 	return out, nil
 }
 
-// SegmentRCOnly extracts the same segment without inductance — the
+// SegmentRCOnlyCtx extracts the same segment without inductance — the
 // baseline netlist the paper compares against (Fig. 2 vs Fig. 3). R
 // and C are extracted directly; the four table lookups of the loop
 // composition are skipped entirely rather than computed and
 // discarded.
-func (e *Extractor) SegmentRCOnly(s Segment) (netlist.SegmentRLC, error) {
-	return e.SegmentRCOnlyCtx(context.Background(), s)
-}
-
-// SegmentRCOnlyCtx is SegmentRCOnly with context-parented tracing.
 func (e *Extractor) SegmentRCOnlyCtx(ctx context.Context, s Segment) (netlist.SegmentRLC, error) {
 	if err := s.Validate(); err != nil {
 		return netlist.SegmentRLC{}, err

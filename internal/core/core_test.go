@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -45,7 +46,7 @@ func fig1Segment() Segment {
 
 func newTestExtractor(t *testing.T, sh []geom.Shielding) *Extractor {
 	t.Helper()
-	e, err := NewExtractor(testTech(), fsig, testAxes(), sh)
+	e, err := NewExtractorCtx(context.Background(), testTech(), fsig, testAxes(), sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func newTestExtractor(t *testing.T, sh []geom.Shielding) *Extractor {
 func TestLoopLCompositionMatchesDirectCPW(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
 	seg := fig1Segment()
-	composed, err := e.LoopL(seg)
+	composed, err := e.LoopLCtx(context.Background(), seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := e.DirectLoopL(seg)
+	direct, err := e.DirectLoopLCtx(context.Background(), seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,11 @@ func TestLoopLCompositionMatchesDirectMicrostrip(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldMicrostrip})
 	seg := fig1Segment()
 	seg.Shielding = geom.ShieldMicrostrip
-	composed, err := e.LoopL(seg)
+	composed, err := e.LoopLCtx(context.Background(), seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := e.DirectLoopL(seg)
+	direct, err := e.DirectLoopLCtx(context.Background(), seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +101,11 @@ func TestMicrostripLoopBelowCPW(t *testing.T) {
 	cpw := fig1Segment()
 	ms := cpw
 	ms.Shielding = geom.ShieldMicrostrip
-	a, err := e.LoopL(cpw)
+	a, err := e.LoopLCtx(context.Background(), cpw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.LoopL(ms)
+	b, err := e.LoopLCtx(context.Background(), ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestMicrostripLoopBelowCPW(t *testing.T) {
 
 func TestSegmentRLCFig1Magnitudes(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
-	rlc, err := e.SegmentRLC(fig1Segment())
+	rlc, err := e.SegmentRLCCtx(context.Background(), fig1Segment())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestSegmentRLCFig1Magnitudes(t *testing.T) {
 		t.Errorf("C = %g pF, want O(1)", pf)
 	}
 	// RC-only variant zeroes L and keeps the rest.
-	rc, err := e.SegmentRCOnly(fig1Segment())
+	rc, err := e.SegmentRCOnlyCtx(context.Background(), fig1Segment())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestSegmentRCOnlySkipsTableLookups(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
 	evals0 := obs.GetCounter("spline.evals").Value()
 	comps0 := obs.GetCounter("core.loop_compositions").Value()
-	rc, err := e.SegmentRCOnly(fig1Segment())
+	rc, err := e.SegmentRCOnlyCtx(context.Background(), fig1Segment())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestSegmentRCOnlySkipsTableLookups(t *testing.T) {
 // including the derived one — interpolates.
 func TestDefaultAxesInRangeSegmentsZeroClamps(t *testing.T) {
 	ax := table.DefaultAxes()
-	e, err := NewExtractor(testTech(), fsig, ax, []geom.Shielding{geom.ShieldNone})
+	e, err := NewExtractorCtx(context.Background(), testTech(), fsig, ax, []geom.Shielding{geom.ShieldNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestDefaultAxesInRangeSegmentsZeroClamps(t *testing.T) {
 			for _, s := range spacings {
 				for _, l := range lengths {
 					seg := Segment{Length: l, SignalWidth: w, GroundWidth: gw, Spacing: s}
-					if _, err := e.LoopL(seg); err != nil {
+					if _, err := e.LoopLCtx(context.Background(), seg); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -209,7 +210,7 @@ func delayOut(t *testing.T, build func(nl *netlist.Netlist) error) float64 {
 	if err := nl.Validate(); err != nil {
 		t.Fatalf("netlist invalid: %v", err)
 	}
-	res, err := sim.Transient(nl, 0.5e-12, 1500e-12, []string{"out"})
+	res, err := sim.TransientCtx(context.Background(), nl, 0.5e-12, 1500e-12, []string{"out"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +229,12 @@ func delayOut(t *testing.T, build func(nl *netlist.Netlist) error) float64 {
 func TestLoopAndPartialFormulationsConvergeLowLoss(t *testing.T) {
 	tech := testTech()
 	tech.Rho = units.RhoCopper / 1000
-	e, err := NewExtractor(tech, fsig, testAxes(), []geom.Shielding{geom.ShieldNone})
+	e, err := NewExtractorCtx(context.Background(), tech, fsig, testAxes(), []geom.Shielding{geom.ShieldNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seg := fig1Segment()
-	rlc, err := e.SegmentRLC(seg)
+	rlc, err := e.SegmentRLCCtx(context.Background(), seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestLoopAndPartialFormulationsConvergeLowLoss(t *testing.T) {
 func TestLoopAndPartialFormulationsCopperEnvelope(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
 	seg := fig1Segment()
-	rlc, err := e.SegmentRLC(seg)
+	rlc, err := e.SegmentRLCCtx(context.Background(), seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,10 +276,10 @@ func TestLoopAndPartialFormulationsCopperEnvelope(t *testing.T) {
 }
 
 func TestExtractorValidation(t *testing.T) {
-	if _, err := NewExtractor(Technology{}, fsig, testAxes(), nil); err == nil {
+	if _, err := NewExtractorCtx(context.Background(), Technology{}, fsig, testAxes(), nil); err == nil {
 		t.Error("accepted empty technology")
 	}
-	if _, err := NewExtractor(testTech(), 0, testAxes(), nil); err == nil {
+	if _, err := NewExtractorCtx(context.Background(), testTech(), 0, testAxes(), nil); err == nil {
 		t.Error("accepted zero frequency")
 	}
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
@@ -287,12 +288,12 @@ func TestExtractorValidation(t *testing.T) {
 	}
 	bad := fig1Segment()
 	bad.Length = 0
-	if _, err := e.LoopL(bad); err == nil {
+	if _, err := e.LoopLCtx(context.Background(), bad); err == nil {
 		t.Error("accepted zero-length segment")
 	}
 	seg := fig1Segment()
 	seg.Shielding = geom.ShieldMicrostrip
-	if _, err := e.LoopL(seg); err == nil {
+	if _, err := e.LoopLCtx(context.Background(), seg); err == nil {
 		t.Error("looked up a configuration without tables")
 	}
 	if err := e.PartialNetlist(netlist.New(), "p", "a", "b", seg, 4); err == nil {
@@ -313,11 +314,11 @@ func TestNewExtractorFromTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := e.LoopL(fig1Segment())
+	a, err := e.LoopLCtx(context.Background(), fig1Segment())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e2.LoopL(fig1Segment())
+	b, err := e2.LoopLCtx(context.Background(), fig1Segment())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestSignificantFrequencyReexport(t *testing.T) {
 func TestStriplineOrdering(t *testing.T) {
 	// Stripline (planes both sides) shields harder than microstrip,
 	// which shields harder than the bare CPW: loop L strictly ordered.
-	e, err := NewExtractor(testTech(), fsig, testAxes(),
+	e, err := NewExtractorCtx(context.Background(), testTech(), fsig, testAxes(),
 		[]geom.Shielding{geom.ShieldNone, geom.ShieldMicrostrip, geom.ShieldStripline})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +346,7 @@ func TestStriplineOrdering(t *testing.T) {
 	for i, sh := range []geom.Shielding{geom.ShieldNone, geom.ShieldMicrostrip, geom.ShieldStripline} {
 		s := seg
 		s.Shielding = sh
-		if ls[i], err = e.LoopL(s); err != nil {
+		if ls[i], err = e.LoopLCtx(context.Background(), s); err != nil {
 			t.Fatalf("%v: %v", sh, err)
 		}
 		if ls[i] <= 0 {
@@ -369,11 +370,11 @@ func TestStriplineOrdering(t *testing.T) {
 		t.Error("plane z ordering wrong")
 	}
 	// Stripline composition also tracks its direct solve.
-	composed, err := e.LoopL(s)
+	composed, err := e.LoopLCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := e.DirectLoopL(s)
+	direct, err := e.DirectLoopLCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

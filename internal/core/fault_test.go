@@ -64,7 +64,7 @@ func TestBatchCancellationStopsNewClaims(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	t0 := time.Now()
-	_, err := Batch{Workers: 4}.SegmentsRLCCtx(ctx, e, segs)
+	_, err := e.SegmentsRLCCtx(ctx, segs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -86,7 +86,7 @@ func TestBatchPanicIsolatedToItsSegment(t *testing.T) {
 		if k == 3 {
 			panic("segment blew up")
 		}
-		_, err := e.SegmentRLC(segs[k])
+		_, err := e.SegmentRLCCtx(context.Background(), segs[k])
 		return err
 	})
 	var cp *table.CellPanic
@@ -111,7 +111,7 @@ func TestBatchRejectsInvalidSegmentWithIndex(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
 	segs := []Segment{fig1Segment(), fig1Segment(), fig1Segment()}
 	segs[1].SignalWidth = -units.Um(1)
-	_, err := e.SegmentsRLC(segs)
+	_, err := e.SegmentsRLCCtx(context.Background(), segs)
 	if !errors.Is(err, ErrBadGeometry) {
 		t.Fatalf("want ErrBadGeometry, got %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -27,8 +28,8 @@ type MultiExtractor struct {
 
 // NewMultiExtractor builds tables for every layer over shared axes and
 // shielding configurations (nil selects ShieldNone + ShieldMicrostrip,
-// as in NewExtractor).
-func NewMultiExtractor(layers []LayerTech, freq float64, axes table.Axes, shieldings []geom.Shielding, opts ...Option) (*MultiExtractor, error) {
+// as in NewExtractorCtx).
+func NewMultiExtractor(ctx context.Context, layers []LayerTech, freq float64, axes table.Axes, shieldings []geom.Shielding, opts ...Option) (*MultiExtractor, error) {
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("core: no layers")
 	}
@@ -40,7 +41,7 @@ func NewMultiExtractor(layers []LayerTech, freq float64, axes table.Axes, shield
 		if _, dup := m.layers[l.Name]; dup {
 			return nil, fmt.Errorf("core: duplicate layer %q", l.Name)
 		}
-		e, err := NewExtractor(l.Tech, freq, axes, shieldings, opts...)
+		e, err := NewExtractorCtx(ctx, l.Tech, freq, axes, shieldings, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("core: layer %q: %w", l.Name, err)
 		}
@@ -69,12 +70,12 @@ func (m *MultiExtractor) Names() []string {
 }
 
 // SegmentRLC extracts a segment routed on the named layer.
-func (m *MultiExtractor) SegmentRLC(layer string, s Segment) (netlist.SegmentRLC, error) {
+func (m *MultiExtractor) SegmentRLC(ctx context.Context, layer string, s Segment) (netlist.SegmentRLC, error) {
 	e, err := m.Layer(layer)
 	if err != nil {
 		return netlist.SegmentRLC{}, err
 	}
-	return e.SegmentRLC(s)
+	return e.SegmentRLCCtx(ctx, s)
 }
 
 // StackFromTechnology derives per-layer LayerTechs from a geometry

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestMultiExtractorPerLayerTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMultiExtractor(layers, fsig, testAxes(), []geom.Shielding{geom.ShieldNone})
+	m, err := NewMultiExtractor(context.Background(), layers, fsig, testAxes(), []geom.Shielding{geom.ShieldNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,11 @@ func TestMultiExtractorPerLayerTables(t *testing.T) {
 		Spacing:     units.Um(1),
 		Shielding:   geom.ShieldNone,
 	}
-	r5, err := m.SegmentRLC("M5", seg)
+	r5, err := m.SegmentRLC(context.Background(), "M5", seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r6, err := m.SegmentRLC("M6", seg)
+	r6, err := m.SegmentRLC(context.Background(), "M6", seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,21 +95,21 @@ func TestMultiExtractorPerLayerTables(t *testing.T) {
 	if _, err := m.Layer("M9"); err == nil {
 		t.Error("returned tables for a missing layer")
 	}
-	if _, err := m.SegmentRLC("M9", seg); err == nil {
+	if _, err := m.SegmentRLC(context.Background(), "M9", seg); err == nil {
 		t.Error("extracted on a missing layer")
 	}
 }
 
 func TestMultiExtractorValidation(t *testing.T) {
-	if _, err := NewMultiExtractor(nil, fsig, testAxes(), nil); err == nil {
+	if _, err := NewMultiExtractor(context.Background(), nil, fsig, testAxes(), nil); err == nil {
 		t.Error("accepted empty layer list")
 	}
 	lt := LayerTech{Name: "", Tech: testTech()}
-	if _, err := NewMultiExtractor([]LayerTech{lt}, fsig, testAxes(), nil); err == nil {
+	if _, err := NewMultiExtractor(context.Background(), []LayerTech{lt}, fsig, testAxes(), nil); err == nil {
 		t.Error("accepted anonymous layer")
 	}
 	a := LayerTech{Name: "M1", Tech: testTech()}
-	if _, err := NewMultiExtractor([]LayerTech{a, a}, fsig, testAxes(),
+	if _, err := NewMultiExtractor(context.Background(), []LayerTech{a, a}, fsig, testAxes(),
 		[]geom.Shielding{geom.ShieldNone}); err == nil {
 		t.Error("accepted duplicate layer")
 	}

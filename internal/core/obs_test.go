@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"clockrlc/internal/geom"
@@ -13,12 +14,12 @@ import (
 func TestWithObserverSpanNesting(t *testing.T) {
 	mem := &obs.MemorySink{}
 	o := obs.New(mem)
-	e, err := NewExtractor(testTech(), fsig, testAxes(),
+	e, err := NewExtractorCtx(context.Background(), testTech(), fsig, testAxes(),
 		[]geom.Shielding{geom.ShieldNone}, WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SegmentRLC(fig1Segment()); err != nil {
+	if _, err := e.SegmentRLCCtx(context.Background(), fig1Segment()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +58,7 @@ func TestObserverDefaultsDisabled(t *testing.T) {
 	if e.observer().Enabled() {
 		t.Fatal("default observer should be disabled in tests")
 	}
-	if _, err := e.SegmentRLC(fig1Segment()); err != nil {
+	if _, err := e.SegmentRLCCtx(context.Background(), fig1Segment()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,12 +1,12 @@
 package core
 
-// Vectorized extraction. Extractor.SegmentsRLC feeds whole clocktrees
+// Vectorized extraction. Extractor.SegmentsRLCCtx feeds whole clocktrees
 // through the table layer's batch lookups (table.Set.SelfLBatch /
 // MutualLBatch): segments are grouped by shielding configuration, the
 // four lookups of every loop composition are packed into two batch
 // calls per group, and one spline contraction pass answers them all —
 // deduping repeated geometries, which clock trees are made of. The
-// composed values are bit-identical to the scalar loop (LoopL per
+// composed values are bit-identical to the scalar loop (LoopLCtx per
 // segment); only the constant factors change.
 
 import (
@@ -18,22 +18,26 @@ import (
 
 	"clockrlc/internal/geom"
 	"clockrlc/internal/netlist"
+	"clockrlc/internal/obs"
 	"clockrlc/internal/resist"
 	"clockrlc/internal/table"
 )
 
-// LoopLBatch composes the loop inductance of every segment through the
-// batch lookup path, returning henries in input order. Values are
-// bit-identical to calling LoopL per segment; the first failing
-// segment (in input order within its shielding group) stops the batch
-// with an error naming it.
-func (e *Extractor) LoopLBatch(segs []Segment) ([]float64, error) {
-	return e.LoopLBatchCtx(context.Background(), segs)
-}
+// Batch accounting: runs, segments extracted through the batch path,
+// and accumulated wall time (throughput = batch_segments /
+// batch_ns·1e9).
+var (
+	batchRuns     = obs.GetCounter("core.batch_runs")
+	batchSegments = obs.GetCounter("core.batch_segments")
+	batchNs       = obs.GetCounter("core.batch_ns")
+)
 
-// LoopLBatchCtx is LoopLBatch with context-parented tracing. The
-// context carries tracing lineage only; lookups are pure reads and are
-// not cancelled.
+// LoopLBatchCtx composes the loop inductance of every segment through
+// the batch lookup path, returning henries in input order. Values are
+// bit-identical to calling LoopLCtx per segment; the first failing
+// segment (in input order within its shielding group) stops the batch
+// with an error naming it. The context carries tracing lineage only;
+// lookups are pure reads and are not cancelled.
 func (e *Extractor) LoopLBatchCtx(ctx context.Context, segs []Segment) ([]float64, error) {
 	for i, s := range segs {
 		if err := s.Validate(); err != nil {
@@ -91,7 +95,7 @@ func (e *Extractor) loopLBatchInto(ctx context.Context, segs []Segment, out []fl
 		// Two self queries per segment — (SignalWidth, Length) then
 		// (GroundWidth, Length) — and two mutual queries — signal↔ground
 		// at Spacing, then ground↔ground across the signal trace —
-		// exactly the four lookups LoopL issues, in the same order.
+		// exactly the four lookups LoopLCtx issues, in the same order.
 		sw := make([]float64, 2*m)
 		sl := make([]float64, 2*m)
 		selfOut := make([]float64, 2*m)
@@ -153,18 +157,24 @@ func batchQuerySegment(idxs []int, err error) (int, error) {
 	return 0, err
 }
 
-// segmentsRLCVectorized is the batch extraction path behind
-// Extractor.SegmentsRLC: R and C per segment on a worker pool (both
-// are per-segment analytic/field-model work), then every loop
-// inductance through one vectorized lookup pass. Results are
-// bit-identical to a serial loop over SegmentRLC.
-func (e *Extractor) segmentsRLCVectorized(ctx context.Context, segs []Segment) ([]netlist.SegmentRLC, error) {
+// SegmentsRLCCtx extracts a batch of segments: R and C per segment on
+// a GOMAXPROCS-wide worker pool (both are per-segment
+// analytic/field-model work), then every loop inductance through the
+// table layer's batch lookups (one spline contraction pass per
+// shielding group, repeated geometries deduped). Results are
+// bit-identical to a serial loop over SegmentRLCCtx, in input order;
+// the first failing segment stops the batch, identified by its index,
+// and a segment panicking in the R/C phase surfaces as a
+// *table.CellPanic. A cancelled ctx stops the R/C worker phase and
+// returns ctx.Err(); the lookup phase is pure reads and runs to
+// completion. Progress is observable
+// through the core.batch_* counters.
+func (e *Extractor) SegmentsRLCCtx(ctx context.Context, segs []Segment) ([]netlist.SegmentRLC, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ctx, sp := e.observer().StartCtx(ctx, "core.batch")
 	sp.SetAttr("segments", len(segs))
-	sp.SetAttr("mode", "vectorized")
 	defer sp.End()
 	t0 := time.Now()
 	defer func() {

@@ -44,7 +44,7 @@ func mixedBatchSegs(n int) []Segment {
 func TestSegmentsRLCVectorizedBitIdentical(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone, geom.ShieldMicrostrip})
 	segs := mixedBatchSegs(37)
-	got, err := e.SegmentsRLC(segs)
+	got, err := e.SegmentsRLCCtx(context.Background(), segs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSegmentsRLCVectorizedBitIdentical(t *testing.T) {
 		t.Fatalf("%d results for %d segments", len(got), len(segs))
 	}
 	for i, s := range segs {
-		want, err := e.SegmentRLC(s)
+		want, err := e.SegmentRLCCtx(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,12 +70,12 @@ func TestSegmentsRLCVectorizedBitIdentical(t *testing.T) {
 func TestLoopLBatchMatchesLoopL(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone, geom.ShieldMicrostrip})
 	segs := mixedBatchSegs(12)
-	got, err := e.LoopLBatch(segs)
+	got, err := e.LoopLBatchCtx(context.Background(), segs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range segs {
-		want, err := e.LoopL(s)
+		want, err := e.LoopLCtx(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestLoopLBatchMatchesLoopL(t *testing.T) {
 		}
 	}
 	// Empty batches are fine.
-	if out, err := e.LoopLBatch(nil); err != nil || len(out) != 0 {
+	if out, err := e.LoopLBatchCtx(context.Background(), nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(out))
 	}
 }
@@ -102,7 +102,7 @@ func TestLoopLBatchNamesFailingSegment(t *testing.T) {
 
 	segs := []Segment{fig1Segment(), fig1Segment(), fig1Segment()}
 	segs[2].SignalWidth = units.Um(80) // far beyond the 12 µm width axis
-	_, err = e.LoopLBatch(segs)
+	_, err = e.LoopLBatchCtx(context.Background(), segs)
 	if !errors.Is(err, table.ErrOutOfRange) {
 		t.Fatalf("want ErrOutOfRange, got %v", err)
 	}
@@ -112,7 +112,7 @@ func TestLoopLBatchNamesFailingSegment(t *testing.T) {
 	// Geometry failures are named too, before any lookup runs.
 	segs[2] = fig1Segment()
 	segs[0].Length = -1
-	if _, err := e.LoopLBatch(segs); !errors.Is(err, ErrBadGeometry) || !strings.Contains(err.Error(), "segment 0") {
+	if _, err := e.LoopLBatchCtx(context.Background(), segs); !errors.Is(err, ErrBadGeometry) || !strings.Contains(err.Error(), "segment 0") {
 		t.Errorf("invalid geometry: got %v, want ErrBadGeometry naming segment 0", err)
 	}
 }
@@ -133,7 +133,7 @@ func TestSegmentsRLCVectorizedLookupErrorNamesSegment(t *testing.T) {
 		segs[i].Shielding = geom.ShieldNone
 	}
 	segs[3].SignalWidth = units.Um(80)
-	_, err = e.SegmentsRLC(segs)
+	_, err = e.SegmentsRLCCtx(context.Background(), segs)
 	if !errors.Is(err, table.ErrOutOfRange) {
 		t.Fatalf("want ErrOutOfRange, got %v", err)
 	}
@@ -153,39 +153,32 @@ func TestSegmentsRLCVectorizedCancellation(t *testing.T) {
 	}
 }
 
-// TestSegmentsRLCVectorizedSpan: the batch span advertises the
-// vectorized mode and parents one table.lookup span per batch (not
-// per segment).
+// TestSegmentsRLCVectorizedSpan: the batch span parents one
+// table.lookup span per batch (not per segment).
 func TestSegmentsRLCVectorizedSpan(t *testing.T) {
 	mem := &obs.MemorySink{}
 	o := obs.New(mem)
-	e, err := NewExtractor(testTech(), fsig, testAxes(),
+	e, err := NewExtractorCtx(context.Background(), testTech(), fsig, testAxes(),
 		[]geom.Shielding{geom.ShieldNone}, WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
 	}
 	segs := batchSegs(6)
-	if _, err := e.SegmentsRLC(segs); err != nil {
+	if _, err := e.SegmentsRLCCtx(context.Background(), segs); err != nil {
 		t.Fatal(err)
 	}
 	var batchID uint64
 	lookups := 0
-	mode := any(nil)
 	for _, ev := range mem.Events() {
 		switch {
 		case ev.Type == obs.EventSpanStart && ev.Name == "core.batch":
 			batchID = ev.Span
-		case ev.Type == obs.EventSpanEnd && ev.Name == "core.batch" && ev.Attrs != nil:
-			mode = ev.Attrs["mode"]
 		case ev.Type == obs.EventSpanStart && ev.Name == "table.lookup":
 			lookups++
 			if ev.Parent != batchID {
 				t.Errorf("table.lookup parent = %d, want core.batch span %d", ev.Parent, batchID)
 			}
 		}
-	}
-	if mode != "vectorized" {
-		t.Errorf("core.batch mode attr = %v, want vectorized", mode)
 	}
 	if lookups != 1 {
 		t.Errorf("%d table.lookup spans for one batch, want 1", lookups)

@@ -1,6 +1,7 @@
 package elmore
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func simDelay(t *testing.T, l Line, sections int) float64 {
 	if l.Cl > 0 {
 		nl.AddC("cl", "out", "0", l.Cl)
 	}
-	res, err := sim.Transient(nl, 0.1e-12, 2000e-12, []string{"out"})
+	res, err := sim.TransientCtx(context.Background(), nl, 0.1e-12, 2000e-12, []string{"out"})
 	if err != nil {
 		t.Fatal(err)
 	}

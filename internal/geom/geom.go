@@ -157,8 +157,14 @@ type Block struct {
 	Rho float64
 }
 
+// ErrNilBlock is returned by Block.Validate for a nil block.
+var ErrNilBlock = errors.New("geom: nil block")
+
 // Validate checks structural invariants.
 func (b *Block) Validate() error {
+	if b == nil {
+		return ErrNilBlock
+	}
 	if len(b.Traces) == 0 {
 		return errors.New("geom: block has no traces")
 	}

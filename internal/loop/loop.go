@@ -262,6 +262,9 @@ func SolveBlock(blk *geom.Block, signalIdx int, opts Options) (*Solution, error)
 // signal traces i and j, all with returns through the block's grounds
 // and plane(s). Indices follow blk.SignalIndices() order.
 func LoopMatrix(blk *geom.Block, opts Options) (*linalg.Matrix, error) {
+	if err := blk.Validate(); err != nil {
+		return nil, fmt.Errorf("loop: %w", err)
+	}
 	sigs := blk.SignalIndices()
 	n := len(sigs)
 	m := linalg.NewMatrix(n, n)

@@ -2,14 +2,11 @@ package obs
 
 import "context"
 
-// Context propagation: the concurrency-correct way to parent spans.
-//
-// The Observer's auto-parenting stack assumes one goroutine; the
-// moment work fans out (table.BuildCtx's worker pool, core.Batch,
-// every *Ctx entry point) the stack interleaves and spans mis-parent.
-// StartCtx instead reads its parent from the context — each goroutine
-// carries its own lineage, so reconstruction of the trace tree is
-// exact at any worker count. The disarmed path (observer disabled)
+// Context propagation: the one way to parent spans. StartCtx reads
+// its parent from the context, so each goroutine carries its own
+// lineage and a fanned-out stage (table.BuildCtx's worker pool,
+// Extractor.SegmentsRLCCtx, the clocktree stage walk) reconstructs
+// exactly at any worker count. The disarmed path (observer disabled)
 // is a single atomic load returning the context unchanged: no
 // allocation, no context wrapping, nothing for the hot paths to pay.
 
@@ -42,10 +39,9 @@ func SpanFromContext(ctx context.Context) Span {
 // StartCtx begins a span parented to the span carried by ctx (a root
 // span when ctx carries none, or one from a different observer) and
 // returns a derived context carrying the new span, for passing to
-// child operations. Unlike Start it never consults the shared
-// auto-parenting stack, so it is correct from any number of
-// goroutines. With the observer disabled it returns (ctx, Span{})
-// after one atomic load.
+// child operations. It is correct from any number of goroutines.
+// With the observer disabled it returns (ctx, Span{}) after one
+// atomic load.
 func (o *Observer) StartCtx(ctx context.Context, name string) (context.Context, Span) {
 	if o == nil || !o.enabled.Load() {
 		return ctx, Span{}

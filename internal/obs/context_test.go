@@ -85,9 +85,9 @@ func TestStartCtxIgnoresForeignObserverSpan(t *testing.T) {
 
 // TestStartCtxCrossGoroutine is the core concurrency-correctness
 // property: spans started via StartCtx from many goroutines all parent
-// under the span their context carries, never under each other, and
-// never consult the single-goroutine stack (which another goroutine is
-// concurrently mutating via legacy Start/End).
+// under the span their context carries, never under each other, while
+// another goroutine concurrently starts and ends root spans on the
+// same observer.
 func TestStartCtxCrossGoroutine(t *testing.T) {
 	sink := &MemorySink{}
 	o := New(sink)
@@ -95,7 +95,7 @@ func TestStartCtxCrossGoroutine(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Antagonist: churn the legacy stack from its own goroutine.
+	// Antagonist: churn root spans from its own goroutine.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -104,7 +104,7 @@ func TestStartCtxCrossGoroutine(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				sp := o.Start("legacy")
+				_, sp := o.StartCtx(context.Background(), "other")
 				sp.End()
 			}
 		}

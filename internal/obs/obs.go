@@ -5,22 +5,18 @@
 // default, unobserved configuration costs nothing measurable on the
 // hot paths it instruments:
 //
-//   - starting a span on an Observer with no sinks returns a zero
-//     Span value without locking or allocating;
+//   - starting a span on an Observer with no sinks returns the context
+//     unchanged and a zero Span value without locking or allocating;
 //   - counters are single atomic adds, created once at package init
 //     of the instrumented package and shared process-wide.
 //
-// Tracing model: an Observer is a tracing scope. Start begins a span;
-// spans started while another span of the same Observer is open are
-// parented to it (an explicit stack, no goroutine magic), so
-// single-goroutine pipelines — extract → table lookup → cascade —
-// nest naturally. The stack is a strictly single-goroutine
-// convenience: concurrent code must carry its parent explicitly,
-// either with Span.Child or — the preferred form since the pipeline
-// went concurrent — with StartCtx/ContextWithSpan/SpanFromContext,
-// which thread the parent through a context.Context and never read or
-// write the shared stack. Every span start/end is forwarded to the
-// Observer's sinks as an Event.
+// Tracing model: an Observer is a tracing scope. StartCtx is the one
+// way to begin a span: its parent is the span carried by the
+// context.Context (ContextWithSpan/SpanFromContext), and it returns a
+// derived context carrying the new span for the child operations.
+// Each goroutine carries its own lineage, so the trace tree
+// reconstructs exactly at any worker count. Every span start/end is
+// forwarded to the Observer's sinks as an Event.
 //
 // Metrics model: counters/gauges/histograms live in a Registry
 // (package-level helpers use a process-wide default, like expvar).
@@ -36,7 +32,7 @@ import (
 
 // Observer is a tracing scope: spans started on it are timed and
 // forwarded to its sinks. The zero value and nil are valid, disabled
-// observers. An Observer with no sinks is disabled and Start is
+// observers. An Observer with no sinks is disabled and StartCtx is
 // allocation-free.
 type Observer struct {
 	enabled atomic.Bool
@@ -44,18 +40,7 @@ type Observer struct {
 
 	mu    sync.Mutex
 	sinks []Sink
-	stack []stackEntry // open-span entries, innermost last (auto-parenting)
 	now   func() time.Time
-}
-
-// stackEntry is one auto-parenting stack slot. Entries ended out of
-// order are marked closed in place rather than removed, so closing a
-// span never shifts the positions of the entries around it — a new
-// Start parents to the innermost entry that is still open, and
-// trailing closed entries are trimmed when the top of the stack ends.
-type stackEntry struct {
-	id     uint64
-	closed bool
 }
 
 // New returns an Observer forwarding to the given sinks (none ⇒
@@ -75,9 +60,6 @@ var defaultObserver = New()
 // traces here; it stays disabled until a sink is attached, typically
 // by a CLI's -trace flag.
 func Default() *Observer { return defaultObserver }
-
-// Start begins a span on the default observer.
-func Start(name string) Span { return defaultObserver.Start(name) }
 
 // AddSink attaches a sink and enables the observer.
 func (o *Observer) AddSink(s Sink) {
@@ -105,7 +87,6 @@ func (o *Observer) RemoveSink(s Sink) {
 	}
 	o.sinks = kept
 	if len(kept) == 0 {
-		o.stack = o.stack[:0]
 		o.enabled.Store(false)
 	}
 	o.mu.Unlock()
@@ -132,57 +113,10 @@ type spanData struct {
 	parent uint64
 	name   string
 	start  time.Time
-	pushed bool // on the auto-parenting stack (legacy Start only)
 	done   atomic.Bool
 
 	mu    sync.Mutex
 	attrs map[string]any
-}
-
-// Start begins a span. Its parent is the innermost span of this
-// observer that is still open (zero for a root span).
-//
-// Start's auto-parenting reads a stack shared by the whole observer,
-// so it is only correct when one goroutine at a time starts spans.
-// Code that fans out — worker pools, batches, anything reached from a
-// *Ctx entry point — must use StartCtx (or Span.Child), which carry
-// the parent explicitly and never touch the stack.
-func (o *Observer) Start(name string) Span {
-	if o == nil || !o.enabled.Load() {
-		return Span{}
-	}
-	d := &spanData{o: o, id: o.nextID.Add(1), name: name, start: o.clock(), pushed: true}
-	o.mu.Lock()
-	for i := len(o.stack) - 1; i >= 0; i-- {
-		if !o.stack[i].closed {
-			d.parent = o.stack[i].id
-			break
-		}
-	}
-	o.stack = append(o.stack, stackEntry{id: d.id})
-	sinks := o.sinks
-	o.mu.Unlock()
-	emit(sinks, &Event{Type: EventSpanStart, Name: name, Span: d.id, Parent: d.parent, Time: d.start})
-	return Span{d: d}
-}
-
-// Child begins a span explicitly parented to s, bypassing the
-// observer's open-span stack — the form to use when fanning out to
-// goroutines, where stack-based parenting would interleave.
-func (s Span) Child(name string) Span {
-	if s.d == nil {
-		return Span{}
-	}
-	o := s.d.o
-	if !o.enabled.Load() {
-		return Span{}
-	}
-	d := &spanData{o: o, id: o.nextID.Add(1), parent: s.d.id, name: name, start: o.clock()}
-	o.mu.Lock()
-	sinks := o.sinks
-	o.mu.Unlock()
-	emit(sinks, &Event{Type: EventSpanStart, Name: name, Span: d.id, Parent: d.parent, Time: d.start})
-	return Span{d: d}
 }
 
 // SetAttr attaches a key/value to the span; it is reported with the
@@ -212,24 +146,6 @@ func (s Span) End() {
 	o := d.o
 	end := o.clock()
 	o.mu.Lock()
-	// Retire the span's auto-parenting slot. The top of the stack pops
-	// (plus any trailing already-closed entries beneath it); a span
-	// ended out of order is only marked closed in place — removal used
-	// to shift the entries above it down, which let a sibling started
-	// afterwards re-parent under a span from another goroutine. Spans
-	// created by StartCtx/Child were never pushed and skip the stack
-	// entirely.
-	if d.pushed {
-		for i := len(o.stack) - 1; i >= 0; i-- {
-			if o.stack[i].id == d.id {
-				o.stack[i].closed = true
-				break
-			}
-		}
-		for n := len(o.stack); n > 0 && o.stack[n-1].closed; n = len(o.stack) {
-			o.stack = o.stack[:n-1]
-		}
-	}
 	sinks := o.sinks
 	o.mu.Unlock()
 	d.mu.Lock()

@@ -1,6 +1,8 @@
 package paper
 
 import (
+	"context"
+
 	"clockrlc/internal/bus"
 	"clockrlc/internal/core"
 	"clockrlc/internal/geom"
@@ -19,7 +21,7 @@ type RepeaterResult struct {
 
 // RepeaterInsertion runs E12: a 16 mm, 2 µm-wide shielded route with
 // 60 Ω repeaters.
-func RepeaterInsertion(e *core.Extractor) (*RepeaterResult, error) {
+func RepeaterInsertion(ctx context.Context, e *core.Extractor) (*RepeaterResult, error) {
 	mk := func(withL bool) repeater.Spec {
 		return repeater.Spec{
 			Line: core.Segment{
@@ -41,14 +43,14 @@ func RepeaterInsertion(e *core.Extractor) (*RepeaterResult, error) {
 	}
 	res := &RepeaterResult{}
 	var err error
-	if res.RC, res.CurveRC, err = repeater.Optimize(e, mk(false), 8); err != nil {
+	if res.RC, res.CurveRC, err = repeater.Optimize(ctx, e, mk(false), 8); err != nil {
 		return nil, err
 	}
-	if res.RLC, res.CurveRLC, err = repeater.Optimize(e, mk(true), 8); err != nil {
+	if res.RLC, res.CurveRLC, err = repeater.Optimize(ctx, e, mk(true), 8); err != nil {
 		return nil, err
 	}
 	// What the RC-chosen repeater count costs on the real line.
-	atRCCount, err := repeater.DelayWithN(e, mk(true), res.RC.N)
+	atRCCount, err := repeater.DelayWithN(ctx, e, mk(true), res.RC.N)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +69,7 @@ type BusNoiseResult struct {
 }
 
 // BusNoise runs E13 on a 5-bit bus with outer shields.
-func BusNoise(e *core.Extractor) (*BusNoiseResult, error) {
+func BusNoise(ctx context.Context, e *core.Extractor) (*BusNoiseResult, error) {
 	spec := bus.Spec{
 		N:           5,
 		Length:      units.Um(2000),
@@ -78,11 +80,11 @@ func BusNoise(e *core.Extractor) (*BusNoiseResult, error) {
 		RiseTime:    RiseTime,
 		DriverRes:   DriverRes,
 	}
-	adj, err := bus.Noise(e, spec, []int{1}, 2)
+	adj, err := bus.Noise(ctx, e, spec, []int{1}, 2)
 	if err != nil {
 		return nil, err
 	}
-	storm, err := bus.Noise(e, spec, []int{0, 1, 3, 4}, 2)
+	storm, err := bus.Noise(ctx, e, spec, []int{0, 1, 3, 4}, 2)
 	if err != nil {
 		return nil, err
 	}

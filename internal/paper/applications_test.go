@@ -1,11 +1,14 @@
 package paper
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // E12: inductance-aware repeater insertion uses no more repeaters, and
 // ignoring L when choosing the count costs delay on the real line.
 func TestRepeaterInsertionExperiment(t *testing.T) {
-	res, err := RepeaterInsertion(extractor(t))
+	res, err := RepeaterInsertion(context.Background(), extractor(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +26,7 @@ func TestRepeaterInsertionExperiment(t *testing.T) {
 // E13: bus noise magnitudes are plausible and the storm exceeds the
 // single-aggressor case.
 func TestBusNoiseExperiment(t *testing.T) {
-	res, err := BusNoise(extractor(t))
+	res, err := BusNoise(context.Background(), extractor(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package paper
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -46,7 +47,7 @@ type Fig23Result struct {
 }
 
 // fig23Run simulates one RC-vs-RLC pair for the given segment totals.
-func fig23Run(seg netlist.SegmentRLC) (*Fig23Variant, error) {
+func fig23Run(ctx context.Context, seg netlist.SegmentRLC) (*Fig23Variant, error) {
 	run := func(s netlist.SegmentRLC) (*sim.Result, error) {
 		nl := netlist.New()
 		nl.AddV("vsrc", "drv", netlist.Ground, netlist.Ramp{V0: 0, V1: Vdd, Start: 10e-12, Rise: RiseTime})
@@ -55,7 +56,7 @@ func fig23Run(seg netlist.SegmentRLC) (*Fig23Variant, error) {
 			return nil, err
 		}
 		nl.AddC("cl", "out", netlist.Ground, SinkCap)
-		return sim.Transient(nl, 0.25e-12, 1000e-12, []string{"in", "out"})
+		return sim.TransientCtx(ctx, nl, 0.25e-12, 1000e-12, []string{"in", "out"})
 	}
 	rcSeg := seg
 	rcSeg.L = 0
@@ -92,26 +93,26 @@ func fig23Run(seg netlist.SegmentRLC) (*Fig23Variant, error) {
 }
 
 // Fig23 runs E1 with the given extractor.
-func Fig23(e *core.Extractor) (*Fig23Result, error) {
+func Fig23(ctx context.Context, e *core.Extractor) (*Fig23Result, error) {
 	seg := Fig1Segment()
-	rlc, err := e.SegmentRLC(seg)
+	rlc, err := e.SegmentRLCCtx(ctx, seg)
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig23Result{RLC: rlc}
-	ext, err := fig23Run(rlc)
+	ext, err := fig23Run(ctx, rlc)
 	if err != nil {
 		return nil, err
 	}
 	out.Extracted = *ext
 	cal := rlc
 	cal.C = CalibratedLineCap
-	calv, err := fig23Run(cal)
+	calv, err := fig23Run(ctx, cal)
 	if err != nil {
 		return nil, err
 	}
 	out.Calibrated = *calv
-	part, err := fig23PartialRun(e, seg, cal)
+	part, err := fig23PartialRun(ctx, e, seg, cal)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +122,7 @@ func Fig23(e *core.Extractor) (*Fig23Result, error) {
 
 // fig23PartialRun simulates the calibrated RC baseline against the
 // end-bonded sectioned-PEEC netlist.
-func fig23PartialRun(e *core.Extractor, seg core.Segment, cal netlist.SegmentRLC) (*Fig23Variant, error) {
+func fig23PartialRun(ctx context.Context, e *core.Extractor, seg core.Segment, cal netlist.SegmentRLC) (*Fig23Variant, error) {
 	mk := func(withL bool) (*sim.Result, error) {
 		nl := netlist.New()
 		nl.AddV("vsrc", "drv", netlist.Ground, netlist.Ramp{V0: 0, V1: Vdd, Start: 10e-12, Rise: RiseTime})
@@ -143,7 +144,7 @@ func fig23PartialRun(e *core.Extractor, seg core.Segment, cal netlist.SegmentRLC
 			}
 		}
 		nl.AddC("cl", "out", netlist.Ground, SinkCap)
-		return sim.Transient(nl, 0.25e-12, 1000e-12, []string{"in", "out"})
+		return sim.TransientCtx(ctx, nl, 0.25e-12, 1000e-12, []string{"in", "out"})
 	}
 	resRC, err := mk(false)
 	if err != nil {
@@ -248,7 +249,7 @@ type Table1Row struct {
 
 // Table1 runs E3: the two Fig. 6 trees, full extraction vs linear
 // cascading.
-func Table1() ([]Table1Row, error) {
+func Table1(ctx context.Context) ([]Table1Row, error) {
 	mk := []struct {
 		name  string
 		build func(rho float64) (*cascade.Tree, error)
@@ -263,11 +264,11 @@ func Table1() ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		full, err := tr.FullLoopL(Fsig)
+		full, err := tr.FullLoopLCtx(ctx, Fsig)
 		if err != nil {
 			return nil, err
 		}
-		casc, err := tr.CascadedLoopL(Fsig)
+		casc, err := tr.CascadedLoopLCtx(ctx, Fsig)
 		if err != nil {
 			return nil, err
 		}
@@ -292,7 +293,7 @@ type SkewResult struct {
 
 // HTreeSkew runs E4 on a 2-level H-tree (16 leaves) with a 4× load on
 // leaf 0.
-func HTreeSkew(e *core.Extractor, shield geom.Shielding) (*SkewResult, error) {
+func HTreeSkew(ctx context.Context, e *core.Extractor, shield geom.Shielding) (*SkewResult, error) {
 	seg := Fig1Segment()
 	seg.Shielding = shield
 	buf := clocktree.Buffer{
@@ -306,24 +307,25 @@ func HTreeSkew(e *core.Extractor, shield geom.Shielding) (*SkewResult, error) {
 		return nil, err
 	}
 	res := &SkewResult{}
-	nomRC, err := tree.Arrivals(clocktree.SimOptions{WithL: false})
+	nomRC, err := tree.ArrivalsCtx(ctx, clocktree.SimOptions{WithL: false})
 	if err != nil {
 		return nil, err
 	}
-	nomRLC, err := tree.Arrivals(clocktree.SimOptions{WithL: true})
+	nomRLC, err := tree.ArrivalsCtx(ctx, clocktree.SimOptions{WithL: true})
 	if err != nil {
 		return nil, err
 	}
 	res.ArrivalRC, res.ArrivalRLC = nomRC[0], nomRLC[0]
 	imbalance := map[int]float64{0: 4}
-	res.SkewRC, err = tree.Skew(clocktree.SimOptions{WithL: false, LeafLoadScale: imbalance})
+	repRC, err := tree.SkewReportCtx(ctx, clocktree.SimOptions{WithL: false, LeafLoadScale: imbalance})
 	if err != nil {
 		return nil, err
 	}
-	res.SkewRLC, err = tree.Skew(clocktree.SimOptions{WithL: true, LeafLoadScale: imbalance})
+	repRLC, err := tree.SkewReportCtx(ctx, clocktree.SimOptions{WithL: true, LeafLoadScale: imbalance})
 	if err != nil {
 		return nil, err
 	}
+	res.SkewRC, res.SkewRLC = repRC.Skew, repRLC.Skew
 	res.SkewErrPercent = math.Abs(res.SkewRLC-res.SkewRC) / res.SkewRLC * 100
 	return res, nil
 }
@@ -366,7 +368,7 @@ type TableAccuracy struct {
 }
 
 // CheckTables runs E6.
-func CheckTables(e *core.Extractor) (*TableAccuracy, error) {
+func CheckTables(ctx context.Context, e *core.Extractor) (*TableAccuracy, error) {
 	set, err := e.Tables(geom.ShieldNone)
 	if err != nil {
 		return nil, err
@@ -418,11 +420,11 @@ func CheckTables(e *core.Extractor) (*TableAccuracy, error) {
 		Fig1Segment(),
 		{Length: units.Um(1500), SignalWidth: units.Um(4), GroundWidth: units.Um(4), Spacing: units.Um(2), Shielding: geom.ShieldNone},
 	} {
-		got, err := e.LoopL(seg)
+		got, err := e.LoopLCtx(ctx, seg)
 		if err != nil {
 			return nil, err
 		}
-		want, err := e.DirectLoopL(seg)
+		want, err := e.DirectLoopLCtx(ctx, seg)
 		if err != nil {
 			return nil, err
 		}
@@ -468,20 +470,20 @@ type ShieldCompare struct {
 }
 
 // CompareShields runs E8 on the Fig. 1 segment.
-func CompareShields(e *core.Extractor) (*ShieldCompare, error) {
+func CompareShields(ctx context.Context, e *core.Extractor) (*ShieldCompare, error) {
 	out := &ShieldCompare{}
 	seg := Fig1Segment()
 	var err error
-	if out.LoopCPW, err = e.LoopL(seg); err != nil {
+	if out.LoopCPW, err = e.LoopLCtx(ctx, seg); err != nil {
 		return nil, err
 	}
 	ms := seg
 	ms.Shielding = geom.ShieldMicrostrip
-	if out.LoopMS, err = e.LoopL(ms); err != nil {
+	if out.LoopMS, err = e.LoopLCtx(ctx, ms); err != nil {
 		return nil, err
 	}
 	delay := func(s core.Segment) (float64, error) {
-		rlc, err := e.SegmentRLC(s)
+		rlc, err := e.SegmentRLCCtx(ctx, s)
 		if err != nil {
 			return 0, err
 		}
@@ -492,7 +494,7 @@ func CompareShields(e *core.Extractor) (*ShieldCompare, error) {
 			return 0, err
 		}
 		nl.AddC("cl", "out", netlist.Ground, SinkCap)
-		res, err := sim.Transient(nl, 0.25e-12, 1000e-12, []string{"out"})
+		res, err := sim.TransientCtx(ctx, nl, 0.25e-12, 1000e-12, []string{"out"})
 		if err != nil {
 			return 0, err
 		}
@@ -518,9 +520,9 @@ type VariationResult struct {
 }
 
 // ProcessVariation runs E9 on the Fig. 1 segment with typical sigmas.
-func ProcessVariation(e *core.Extractor, samples int) (*VariationResult, error) {
+func ProcessVariation(ctx context.Context, e *core.Extractor, samples int) (*VariationResult, error) {
 	v := statrc.Variation{EdgeBiasSigma: 0.03e-6, ThicknessSigma: 0.06, HeightSigma: 0.05}
-	r, c, l, err := statrc.MonteCarlo(e, Fig1Segment(), v, samples, 2000)
+	r, c, l, err := statrc.MonteCarlo(ctx, e, Fig1Segment(), v, samples, 2000)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package paper
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ var (
 
 func extractor(t *testing.T) *core.Extractor {
 	t.Helper()
-	once.Do(func() { ext, eErr = NewExtractor() })
+	once.Do(func() { ext, eErr = NewExtractor(context.Background()) })
 	if eErr != nil {
 		t.Fatal(eErr)
 	}
@@ -27,7 +28,7 @@ func extractor(t *testing.T) *core.Extractor {
 // E1: including inductance slows the Fig. 1 net and introduces the
 // overshoot/undershoot of Fig. 3.
 func TestFig23HeadlineShape(t *testing.T) {
-	res, err := Fig23(extractor(t))
+	res, err := Fig23(context.Background(), extractor(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestFig5Foundations(t *testing.T) {
 
 // E3: Table I errors stay at the paper's few-per-cent level.
 func TestTable1CascadingErrors(t *testing.T) {
-	rows, err := Table1()
+	rows, err := Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestHTreeSkewDifference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tree simulation in -short mode")
 	}
-	res, err := HTreeSkew(extractor(t), geom.ShieldNone)
+	res, err := HTreeSkew(context.Background(), extractor(t), geom.ShieldNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestLengthSweepSuperlinearity(t *testing.T) {
 
 // E6: table accuracy.
 func TestCheckTables(t *testing.T) {
-	acc, err := CheckTables(extractor(t))
+	acc, err := CheckTables(context.Background(), extractor(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestFreqSweepTrends(t *testing.T) {
 
 // E8: the microstrip block has lower inductance than the CPW block.
 func TestCompareShields(t *testing.T) {
-	res, err := CompareShields(extractor(t))
+	res, err := CompareShields(context.Background(), extractor(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestCompareShields(t *testing.T) {
 
 // E9: inductance is process-insensitive relative to R and C.
 func TestProcessVariationExperiment(t *testing.T) {
-	res, err := ProcessVariation(extractor(t), 40)
+	res, err := ProcessVariation(context.Background(), extractor(t), 40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package paper
 
 import (
+	"context"
 	"fmt"
 
 	"clockrlc/internal/core"
@@ -84,8 +85,8 @@ func Axes() table.Axes {
 }
 
 // NewExtractor builds the experiment extractor with both table sets.
-func NewExtractor() (*core.Extractor, error) {
-	e, err := core.NewExtractor(Tech(), Fsig, Axes(), nil)
+func NewExtractor(ctx context.Context) (*core.Extractor, error) {
+	e, err := core.NewExtractorCtx(ctx, Tech(), Fsig, Axes(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("paper: %w", err)
 	}

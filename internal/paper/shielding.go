@@ -1,6 +1,7 @@
 package paper
 
 import (
+	"context"
 	"math"
 
 	"clockrlc/internal/cascade"
@@ -52,9 +53,9 @@ func xtalkScenario() xtalk.Scenario {
 }
 
 // ShieldRule runs E11 over the given shield-to-signal width ratios.
-func ShieldRule(e *core.Extractor, ratios []float64) (*ShieldRuleResult, error) {
+func ShieldRule(ctx context.Context, e *core.Extractor, ratios []float64) (*ShieldRuleResult, error) {
 	base := xtalkScenario()
-	pts, err := xtalk.ShieldWidthSweep(e, base, ratios)
+	pts, err := xtalk.ShieldWidthSweep(ctx, e, base, ratios)
 	if err != nil {
 		return nil, err
 	}
@@ -67,11 +68,11 @@ func ShieldRule(e *core.Extractor, ratios []float64) (*ShieldRuleResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		full, err := tree.FullLoopL(Fsig)
+		full, err := tree.FullLoopLCtx(ctx, Fsig)
 		if err != nil {
 			return nil, err
 		}
-		casc, err := tree.CascadedLoopL(Fsig)
+		casc, err := tree.CascadedLoopLCtx(ctx, Fsig)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +81,7 @@ func ShieldRule(e *core.Extractor, ratios []float64) (*ShieldRuleResult, error) 
 	}
 	un := base
 	un.Unshielded = true
-	unRes, err := xtalk.Run(e, un)
+	unRes, err := xtalk.Run(ctx, e, un)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,15 @@
 package paper
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // E11: the "at least equal width" rule — wider shields monotonically
 // reduce both the coupled noise and the cascading error, and removing
 // them entirely is much worse.
 func TestShieldRule(t *testing.T) {
-	res, err := ShieldRule(extractor(t), []float64{0.5, 1, 2})
+	res, err := ShieldRule(context.Background(), extractor(t), []float64{0.5, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package paper
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -31,7 +32,7 @@ type SkewVariationResult struct {
 // SkewVariation runs E14 on a 2-level H-tree (5 buffered stages).
 // Per sample, every stage draws its own process corner; skew is then
 // computed with and without the L component of the variation.
-func SkewVariation(e *core.Extractor, samples int, seed int64) (*SkewVariationResult, error) {
+func SkewVariation(ctx context.Context, e *core.Extractor, samples int, seed int64) (*SkewVariationResult, error) {
 	if samples < 2 {
 		return nil, fmt.Errorf("paper: need at least 2 samples, got %d", samples)
 	}
@@ -47,7 +48,7 @@ func SkewVariation(e *core.Extractor, samples int, seed int64) (*SkewVariationRe
 		return nil, err
 	}
 	v := statrc.Variation{EdgeBiasSigma: 0.03e-6, ThicknessSigma: 0.06, HeightSigma: 0.05}
-	nom, err := e.SegmentRLC(seg)
+	nom, err := e.SegmentRLCCtx(ctx, seg)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +62,7 @@ func SkewVariation(e *core.Extractor, samples int, seed int64) (*SkewVariationRe
 		noml := map[int][3]float64{}
 		for st := 0; st < nStages; st++ {
 			sample := v.Draw(rng)
-			p, err := statrc.PerturbedRLC(e, seg, sample)
+			p, err := statrc.PerturbedRLC(ctx, e, seg, sample)
 			if err != nil {
 				return nil, err
 			}
@@ -71,14 +72,15 @@ func SkewVariation(e *core.Extractor, samples int, seed int64) (*SkewVariationRe
 			full[st] = [3]float64{r, c, l}
 			noml[st] = [3]float64{r, c, 1}
 		}
-		fs, err := tree.Skew(clocktree.SimOptions{WithL: true, Sections: 4, Scale: full})
+		fr, err := tree.SkewReportCtx(ctx, clocktree.SimOptions{WithL: true, Sections: 4, Scale: full})
 		if err != nil {
 			return nil, err
 		}
-		ns, err := tree.Skew(clocktree.SimOptions{WithL: true, Sections: 4, Scale: noml})
+		nr, err := tree.SkewReportCtx(ctx, clocktree.SimOptions{WithL: true, Sections: 4, Scale: noml})
 		if err != nil {
 			return nil, err
 		}
+		fs, ns := fr.Skew, nr.Skew
 		fullSkews = append(fullSkews, fs)
 		nomSkews = append(nomSkews, ns)
 		if fs > 0 {

@@ -1,6 +1,9 @@
 package paper
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // E14: the paper's proposal — nominal L + statistical RC — tracks the
 // fully varied skew sample by sample.
@@ -8,7 +11,7 @@ func TestSkewVariationNominalLProposal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo tree simulation in -short mode")
 	}
-	res, err := SkewVariation(extractor(t), 6, 99)
+	res, err := SkewVariation(context.Background(), extractor(t), 6, 99)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package repeater
 
 import (
+	"context"
 	"fmt"
 
 	"clockrlc/internal/core"
@@ -64,7 +65,7 @@ type Point struct {
 
 // DelayWithN returns the total source-to-sink delay with the line
 // split into n identical buffered stages.
-func DelayWithN(e *core.Extractor, s Spec, n int) (Point, error) {
+func DelayWithN(ctx context.Context, e *core.Extractor, s Spec, n int) (Point, error) {
 	if err := s.Validate(); err != nil {
 		return Point{}, err
 	}
@@ -80,9 +81,9 @@ func DelayWithN(e *core.Extractor, s Spec, n int) (Point, error) {
 	var rlc netlist.SegmentRLC
 	var err error
 	if s.WithL {
-		rlc, err = e.SegmentRLC(seg)
+		rlc, err = e.SegmentRLCCtx(ctx, seg)
 	} else {
-		rlc, err = e.SegmentRCOnly(seg)
+		rlc, err = e.SegmentRCOnlyCtx(ctx, seg)
 	}
 	if err != nil {
 		return Point{}, err
@@ -98,7 +99,7 @@ func DelayWithN(e *core.Extractor, s Spec, n int) (Point, error) {
 	nl.AddC("cl", "out", netlist.Ground, s.Buffer.InputCap)
 	tau := (s.Buffer.DriveRes + rlc.R) * (rlc.C + s.Buffer.InputCap)
 	horizon := 12*tau + 6*s.Buffer.OutSlew
-	res, err := sim.Transient(nl, s.Buffer.OutSlew/100, horizon, []string{"out"})
+	res, err := sim.TransientCtx(ctx, nl, s.Buffer.OutSlew/100, horizon, []string{"out"})
 	if err != nil {
 		return Point{}, fmt.Errorf("repeater: n=%d: %w", n, err)
 	}
@@ -117,14 +118,14 @@ func DelayWithN(e *core.Extractor, s Spec, n int) (Point, error) {
 
 // Optimize sweeps n = 1..maxN and returns the minimum-total point and
 // the whole curve.
-func Optimize(e *core.Extractor, s Spec, maxN int) (Point, []Point, error) {
+func Optimize(ctx context.Context, e *core.Extractor, s Spec, maxN int) (Point, []Point, error) {
 	if maxN < 1 {
 		return Point{}, nil, fmt.Errorf("repeater: maxN must be >= 1, got %d", maxN)
 	}
 	var pts []Point
 	best := Point{Total: -1}
 	for n := 1; n <= maxN; n++ {
-		p, err := DelayWithN(e, s, n)
+		p, err := DelayWithN(ctx, e, s, n)
 		if err != nil {
 			return Point{}, nil, err
 		}

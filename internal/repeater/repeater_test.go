@@ -1,6 +1,7 @@
 package repeater
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func extractor(t *testing.T) *core.Extractor {
 			Spacings: table.LogAxis(units.Um(0.5), units.Um(4), 4),
 			Lengths:  table.LogAxis(units.Um(400), units.Um(16000), 7),
 		}
-		ext, eErr = core.NewExtractor(tech, 6.4e9, axes, []geom.Shielding{geom.ShieldNone})
+		ext, eErr = core.NewExtractorCtx(context.Background(), tech, 6.4e9, axes, []geom.Shielding{geom.ShieldNone})
 	})
 	if eErr != nil {
 		t.Fatal(eErr)
@@ -62,7 +63,7 @@ func testSpec(withL bool) Spec {
 
 func TestDelayCurveIsUShaped(t *testing.T) {
 	e := extractor(t)
-	best, pts, err := Optimize(e, testSpec(false), 8)
+	best, pts, err := Optimize(context.Background(), e, testSpec(false), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestDelayCurveIsUShaped(t *testing.T) {
 // linearly with length.
 func TestInductanceReducesOptimalRepeaterCount(t *testing.T) {
 	e := extractor(t)
-	bestRC, _, err := Optimize(e, testSpec(false), 8)
+	bestRC, _, err := Optimize(context.Background(), e, testSpec(false), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bestRLC, ptsRLC, err := Optimize(e, testSpec(true), 8)
+	bestRLC, ptsRLC, err := Optimize(context.Background(), e, testSpec(true), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestStageDelayMonotone(t *testing.T) {
 	e := extractor(t)
 	prev := -1.0
 	for _, n := range []int{1, 2, 4, 8} {
-		p, err := DelayWithN(e, testSpec(true), n)
+		p, err := DelayWithN(context.Background(), e, testSpec(true), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,20 +119,20 @@ func TestStageDelayMonotone(t *testing.T) {
 
 func TestRepeaterValidation(t *testing.T) {
 	e := extractor(t)
-	if _, err := DelayWithN(e, testSpec(true), 0); err == nil {
+	if _, err := DelayWithN(context.Background(), e, testSpec(true), 0); err == nil {
 		t.Error("accepted n = 0")
 	}
 	bad := testSpec(true)
 	bad.Buffer.DriveRes = 0
-	if _, err := DelayWithN(e, bad, 2); err == nil {
+	if _, err := DelayWithN(context.Background(), e, bad, 2); err == nil {
 		t.Error("accepted zero drive resistance")
 	}
 	bad = testSpec(true)
 	bad.Line.Length = 0
-	if _, err := DelayWithN(e, bad, 2); err == nil {
+	if _, err := DelayWithN(context.Background(), e, bad, 2); err == nil {
 		t.Error("accepted zero line length")
 	}
-	if _, _, err := Optimize(e, testSpec(true), 0); err == nil {
+	if _, _, err := Optimize(context.Background(), e, testSpec(true), 0); err == nil {
 		t.Error("accepted maxN = 0")
 	}
 }

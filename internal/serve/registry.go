@@ -57,7 +57,6 @@ const regShardCount = 8
 // coefficients unmapped underneath it.
 type Registry struct {
 	cache    *table.Cache
-	o        *obs.Observer
 	perShard int // max ready entries per shard; 0 = unbounded
 	bkFails  int // consecutive fill failures to open a key's breaker; 0 = disabled
 	bkCool   time.Duration
@@ -98,8 +97,6 @@ type RegistryOptions struct {
 	// MaxSets bounds the resident set count (approximately: the bound
 	// is enforced per shard); 0 means unbounded.
 	MaxSets int
-	// Observer routes fill spans (nil selects the default observer).
-	Observer *obs.Observer
 	// BreakerFailures opens a key's cold-build circuit after that many
 	// consecutive caller-observed fill failures; 0 disables the
 	// breaker.
@@ -115,7 +112,6 @@ type RegistryOptions struct {
 func NewRegistry(opts RegistryOptions) *Registry {
 	r := &Registry{
 		cache:   opts.Cache,
-		o:       opts.Observer,
 		bkFails: opts.BreakerFailures,
 		bkCool:  opts.BreakerCooldown,
 		now:     opts.Now,
@@ -312,13 +308,9 @@ func (r *Registry) fill(ctx context.Context, cfg table.Config, axes table.Axes) 
 		return nil, err
 	}
 	if r.cache != nil {
-		return r.cache.GetOrBuildCtx(ctx, cfg, axes, r.o)
+		return r.cache.GetOrBuildCtx(ctx, cfg, axes, nil)
 	}
-	o := r.o
-	if o == nil {
-		o = obs.Default()
-	}
-	return table.BuildCtx(ctx, cfg, axes, o)
+	return table.BuildCtx(ctx, cfg, axes, nil)
 }
 
 // releaseFunc wraps releaseEntry in a once so a double release (a

@@ -73,8 +73,6 @@ type Config struct {
 	// DefaultLookup is the out-of-range lookup policy applied when a
 	// request does not select one.
 	DefaultLookup table.LookupPolicy
-	// Observer routes the service's spans (nil = process default).
-	Observer *obs.Observer
 
 	// MaxInFlight bounds concurrently admitted extract/batch requests
 	// (0 = unbounded: admission control off).
@@ -130,7 +128,6 @@ func New(cfg Config) (*Server, error) {
 		reg: NewRegistry(RegistryOptions{
 			Cache:           cfg.Cache,
 			MaxSets:         cfg.MaxSets,
-			Observer:        cfg.Observer,
 			BreakerFailures: cfg.BreakerFailures,
 			BreakerCooldown: cfg.BreakerCooldown,
 			Now:             cfg.now,
@@ -204,14 +201,6 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Close releases the registry's table sets. Call after Drain.
 func (s *Server) Close() error { return s.reg.Close() }
-
-// observer returns the configured observer or the process default.
-func (s *Server) observer() *obs.Observer {
-	if s.cfg.Observer != nil {
-		return s.cfg.Observer
-	}
-	return obs.Default()
-}
 
 // SegmentRequest is one wire segment, in the units the CLIs use
 // (micrometres; the response is SI).
@@ -301,7 +290,7 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 		srvInFlight.Set(float64(srvInFlightN.Add(1)))
 		srvRequests.Inc()
 		t0 := time.Now()
-		ctx, sp := s.observer().StartCtx(r.Context(), "serve."+name)
+		ctx, sp := obs.StartCtx(r.Context(), "serve."+name)
 		sw := &statusWriter{ResponseWriter: w}
 		defer func() {
 			if p := recover(); p != nil {
@@ -489,7 +478,7 @@ func (s *Server) extract(ctx context.Context, req BatchRequest) ([]netlist.Segme
 	if err != nil {
 		return nil, err
 	}
-	ext.Configure(core.WithChecks(checkPolicy), core.WithObserver(s.cfg.Observer))
+	ext.Configure(core.WithChecks(checkPolicy))
 
 	// The vectorized batch path: one spline contraction pass per
 	// shielding group, repeated geometries deduped.

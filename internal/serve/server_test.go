@@ -123,7 +123,7 @@ func TestBatchMatchesInProcessExtraction(t *testing.T) {
 			Shielding:   sh,
 		})
 	}
-	want, err := ext.SegmentsRLC(segs)
+	want, err := ext.SegmentsRLCCtx(context.Background(), segs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,16 +45,12 @@ func (r *ACResult) PhaseDeg(node string) ([]float64, error) {
 	return out, nil
 }
 
-// AC performs a small-signal frequency sweep of the linear netlist.
+// ACCtx performs a small-signal frequency sweep of the linear netlist.
 // acMag maps voltage-source names to their AC magnitudes (sources not
 // listed are shorted, i.e. magnitude 0). Probes are node names; the
-// branch currents of all AC-driven sources are also recorded.
-func AC(nl *netlist.Netlist, freqs []float64, acMag map[string]float64, probes []string) (*ACResult, error) {
-	return ACCtx(context.Background(), nl, freqs, acMag, probes)
-}
-
-// ACCtx is AC honouring cancellation between frequency points and
-// guarding each solve against non-finite results (ErrDiverged).
+// branch currents of all AC-driven sources are also recorded. It
+// honours cancellation between frequency points and guards each solve
+// against non-finite results (ErrDiverged).
 func ACCtx(ctx context.Context, nl *netlist.Netlist, freqs []float64, acMag map[string]float64, probes []string) (*ACResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -16,7 +17,7 @@ func TestACRCLowpass(t *testing.T) {
 	nl.AddC("c", "out", "0", c)
 	fc := 1 / (2 * math.Pi * r * c)
 	freqs := []float64{fc / 100, fc / 10, fc, 10 * fc, 100 * fc}
-	res, err := AC(nl, freqs, map[string]float64{"vin": 1}, []string{"out"})
+	res, err := ACCtx(context.Background(), nl, freqs, map[string]float64{"vin": 1}, []string{"out"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestACSeriesRLCResonance(t *testing.T) {
 	nl.AddC("c", "out", "0", c)
 	f0 := 1 / (2 * math.Pi * math.Sqrt(l*c))
 	q := math.Sqrt(l/c) / r
-	res, err := AC(nl, []float64{f0}, map[string]float64{"vin": 1}, []string{"out"})
+	res, err := ACCtx(context.Background(), nl, []float64{f0}, map[string]float64{"vin": 1}, []string{"out"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestACInputImpedance(t *testing.T) {
 	nl := netlist.New()
 	nl.AddV("vin", "in", "0", netlist.DC(0))
 	nl.AddR("r", "in", "0", 123)
-	res, err := AC(nl, []float64{1e6, 1e9}, map[string]float64{"vin": 1}, nil)
+	res, err := ACCtx(context.Background(), nl, []float64{1e6, 1e9}, map[string]float64{"vin": 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestACInputImpedance(t *testing.T) {
 	nl2.AddV("vin", "in", "0", netlist.DC(0))
 	nl2.AddR("rs", "in", "m", 1e-6)
 	nl2.AddL("l", "m", "0", 1e-9)
-	res2, err := AC(nl2, []float64{1e9}, map[string]float64{"vin": 1}, nil)
+	res2, err := ACCtx(context.Background(), nl2, []float64{1e9}, map[string]float64{"vin": 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestACUndrivenSourceIsShort(t *testing.T) {
 	nl.AddV("vbias", "b", "0", netlist.DC(1))
 	nl.AddR("r1", "in", "out", 100)
 	nl.AddR("r2", "out", "b", 100)
-	res, err := AC(nl, []float64{1e6}, map[string]float64{"vin": 1}, []string{"out"})
+	res, err := ACCtx(context.Background(), nl, []float64{1e6}, map[string]float64{"vin": 1}, []string{"out"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,19 +117,19 @@ func TestACErrors(t *testing.T) {
 	nl := netlist.New()
 	nl.AddV("vin", "in", "0", netlist.DC(0))
 	nl.AddR("r", "in", "0", 10)
-	if _, err := AC(nl, nil, map[string]float64{"vin": 1}, nil); err == nil {
+	if _, err := ACCtx(context.Background(), nl, nil, map[string]float64{"vin": 1}, nil); err == nil {
 		t.Error("accepted empty frequency list")
 	}
-	if _, err := AC(nl, []float64{0}, map[string]float64{"vin": 1}, nil); err == nil {
+	if _, err := ACCtx(context.Background(), nl, []float64{0}, map[string]float64{"vin": 1}, nil); err == nil {
 		t.Error("accepted zero frequency")
 	}
-	if _, err := AC(nl, []float64{1e6}, map[string]float64{"nosuch": 1}, nil); err == nil {
+	if _, err := ACCtx(context.Background(), nl, []float64{1e6}, map[string]float64{"nosuch": 1}, nil); err == nil {
 		t.Error("accepted unknown AC source")
 	}
-	if _, err := AC(nl, []float64{1e6}, nil, []string{"nosuch"}); err == nil {
+	if _, err := ACCtx(context.Background(), nl, []float64{1e6}, nil, []string{"nosuch"}); err == nil {
 		t.Error("accepted unknown probe")
 	}
-	res, err := AC(nl, []float64{1e6}, map[string]float64{"vin": 1}, nil)
+	res, err := ACCtx(context.Background(), nl, []float64{1e6}, map[string]float64{"vin": 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestACMutualCouplingTransformer(t *testing.T) {
 	i2 := nl.AddL("ls", "s", "0", l2)
 	nl.AddK("k", i1, i2, m)
 	nl.AddR("rl", "s", "0", 1e6)
-	res, err := AC(nl, []float64{10e9}, map[string]float64{"vin": 1}, []string{"s"})
+	res, err := ACCtx(context.Background(), nl, []float64{10e9}, map[string]float64{"vin": 1}, []string{"s"})
 	if err != nil {
 		t.Fatal(err)
 	}

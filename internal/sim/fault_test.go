@@ -29,7 +29,7 @@ func TestTransientDetectsPoisonedSource(t *testing.T) {
 	nl.AddV("vin", "in", "0", nanAfter{t0: 0.5e-9})
 	nl.AddR("r", "in", "out", 1e3)
 	nl.AddC("c", "out", "0", 1e-12)
-	_, err := Transient(nl, 1e-11, 2e-9, []string{"out"})
+	_, err := TransientCtx(context.Background(), nl, 1e-11, 2e-9, []string{"out"})
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("want ErrDiverged, got %v", err)
 	}
@@ -77,7 +77,7 @@ func TestDivergenceCounterMoves(t *testing.T) {
 	nl.AddV("vin", "in", "0", nanAfter{t0: 0})
 	nl.AddR("r", "in", "out", 1e3)
 	nl.AddC("c", "out", "0", 1e-12)
-	if _, err := Transient(nl, 1e-11, 1e-9, []string{"out"}); err == nil {
+	if _, err := TransientCtx(context.Background(), nl, 1e-11, 1e-9, []string{"out"}); err == nil {
 		t.Fatal("poisoned run did not fail")
 	}
 	if simDiverged.Value() == before {

@@ -230,7 +230,7 @@ func TestTransientStepDoesNotAllocate(t *testing.T) {
 	nl, probes, h := randomStage(rand.New(rand.NewSource(3)), 111, true, true)
 	run := func(steps int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := Transient(nl, h, float64(steps)*h, probes); err != nil {
+			if _, err := TransientCtx(context.Background(), nl, h, float64(steps)*h, probes); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -243,7 +243,7 @@ func TestTransientStepDoesNotAllocate(t *testing.T) {
 }
 
 func TestDuplicateProbeRecordedOnce(t *testing.T) {
-	res, err := Transient(rcStep(1e3, 1e-12), 1e-11, 1e-10, []string{"out", "out", "0", "0"})
+	res, err := TransientCtx(context.Background(), rcStep(1e3, 1e-12), 1e-11, 1e-10, []string{"out", "out", "0", "0"})
 	if err != nil {
 		t.Fatal(err)
 	}

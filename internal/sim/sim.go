@@ -193,18 +193,14 @@ func (r *Result) Waveform(node string) ([]float64, error) {
 	return w, nil
 }
 
-// Transient runs a fixed-step trapezoidal simulation from 0 to tstop
-// with step h, recording the voltages of the probe nodes (ground may
-// be probed and is identically zero). The initial state is the DC
+// TransientCtx runs a fixed-step trapezoidal simulation from 0 to
+// tstop with step h, recording the voltages of the probe nodes (ground
+// may be probed and is identically zero). The initial state is the DC
 // operating point of the sources at t = 0.
-func Transient(nl *netlist.Netlist, h, tstop float64, probes []string) (*Result, error) {
-	return TransientCtx(context.Background(), nl, h, tstop, probes)
-}
-
-// TransientCtx is Transient honouring cancellation (polled every
-// cancelCheckStride steps, so a cancel lands within a handful of
-// back-substitutions) and guarded against divergence: the state
-// vector is checked for NaN/Inf after every step and a non-finite
+//
+// It honours cancellation (polled every cancelCheckStride steps, so a
+// cancel lands within a handful of back-substitutions) and is guarded
+// against divergence: the state vector is checked for NaN/Inf after every step and a non-finite
 // state aborts with ErrDiverged naming the step instead of returning
 // poisoned waveforms.
 func TransientCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, probes []string) (*Result, error) {

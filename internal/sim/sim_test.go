@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,7 @@ func TestTransientRCStepMatchesAnalytic(t *testing.T) {
 	nl.AddV("vin", "in", "0", netlist.Ramp{V0: 0, V1: 1, Start: 0, Rise: tau / 1e4})
 	nl.AddR("r", "in", "out", r)
 	nl.AddC("c", "out", "0", c)
-	res, err := Transient(nl, tau/200, 6*tau, []string{"out"})
+	res, err := TransientCtx(context.Background(), nl, tau/200, 6*tau, []string{"out"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestTransientRLStep(t *testing.T) {
 	nl.AddR("r", "in", "mid", r)
 	nl.AddL("l", "mid", "0", l)
 	tau := l / r
-	res, err := Transient(nl, tau/200, 5*tau, []string{"mid"})
+	res, err := TransientCtx(context.Background(), nl, tau/200, 5*tau, []string{"mid"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestTransientRLStep(t *testing.T) {
 	nl2.AddV("vin", "in", "0", netlist.Ramp{V0: 0, V1: 1, Start: tau, Rise: tau / 1000})
 	nl2.AddR("r", "in", "mid", r)
 	nl2.AddL("l", "mid", "0", l)
-	res2, err := Transient(nl2, tau/400, 6*tau, []string{"mid"})
+	res2, err := TransientCtx(context.Background(), nl2, tau/400, 6*tau, []string{"mid"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestTransientSeriesRLCRinging(t *testing.T) {
 	zeta := r / 2 * math.Sqrt(c/l)
 	wd := w0 * math.Sqrt(1-zeta*zeta)
 	period := 2 * math.Pi / wd
-	res, err := Transient(nl, period/500, 4*period, []string{"out"})
+	res, err := TransientCtx(context.Background(), nl, period/500, 4*period, []string{"out"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestMutualCouplingSeriesAiding(t *testing.T) {
 		{true, l1 + l2 + 2*m},
 	} {
 		p := period(tc.leff)
-		res, err := Transient(build(tc.withK), p/600, 3*p, []string{"out"})
+		res, err := TransientCtx(context.Background(), build(tc.withK), p/600, 3*p, []string{"out"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +203,7 @@ func TestTrapezoidalEnergyConservationLC(t *testing.T) {
 	nl.AddL("l", "m", "out", l)
 	nl.AddC("c", "out", "0", c)
 	period := 2 * math.Pi * math.Sqrt(l*c)
-	res, err := Transient(nl, period/300, 30*period, []string{"out"})
+	res, err := TransientCtx(context.Background(), nl, period/300, 30*period, []string{"out"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestLadderDelayConvergesWithSections(t *testing.T) {
 			t.Fatal(err)
 		}
 		nl.AddC("cload", "out", "0", 20e-15)
-		res, err := Transient(nl, 0.2e-12, 1500e-12, []string{"out"})
+		res, err := TransientCtx(context.Background(), nl, 0.2e-12, 1500e-12, []string{"out"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,13 +262,13 @@ func TestLadderDelayConvergesWithSections(t *testing.T) {
 
 func TestTransientErrors(t *testing.T) {
 	nl := rcStep(1e3, 1e-12)
-	if _, err := Transient(nl, 0, 1e-9, nil); err == nil {
+	if _, err := TransientCtx(context.Background(), nl, 0, 1e-9, nil); err == nil {
 		t.Error("accepted zero step")
 	}
-	if _, err := Transient(nl, 1e-9, 0, nil); err == nil {
+	if _, err := TransientCtx(context.Background(), nl, 1e-9, 0, nil); err == nil {
 		t.Error("accepted zero tstop")
 	}
-	if _, err := Transient(nl, 1e-12, 1e-9, []string{"nosuch"}); err == nil {
+	if _, err := TransientCtx(context.Background(), nl, 1e-12, 1e-9, []string{"nosuch"}); err == nil {
 		t.Error("accepted unknown probe")
 	}
 	// Floating node: capacitor in series with capacitor leaves the
@@ -276,21 +277,21 @@ func TestTransientErrors(t *testing.T) {
 	fl.AddV("v", "in", "0", netlist.DC(1))
 	fl.AddC("c1", "in", "x", 1e-12)
 	fl.AddC("c2", "x", "0", 1e-12)
-	if _, err := Transient(fl, 1e-12, 1e-10, nil); err == nil {
+	if _, err := TransientCtx(context.Background(), fl, 1e-12, 1e-10, nil); err == nil {
 		t.Error("accepted a floating DC node")
 	}
 	// Invalid element.
 	bad := netlist.New()
 	bad.AddV("v", "in", "0", netlist.DC(1))
 	bad.AddR("r", "in", "0", -5)
-	if _, err := Transient(bad, 1e-12, 1e-10, nil); err == nil {
+	if _, err := TransientCtx(context.Background(), bad, 1e-12, 1e-10, nil); err == nil {
 		t.Error("accepted negative resistance")
 	}
 }
 
 func TestGroundAliasProbe(t *testing.T) {
 	nl := rcStep(1e3, 1e-12)
-	res, err := Transient(nl, 1e-11, 1e-9, []string{"gnd", "out"})
+	res, err := TransientCtx(context.Background(), nl, 1e-11, 1e-9, []string{"gnd", "out"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestQuickRCPassivity(t *testing.T) {
 			nl.AddC("c"+mid, mid, "0", next(5e-15, 500e-15))
 			prev = mid
 		}
-		res, err := Transient(nl, 0.5e-12, 600e-12, []string{prev})
+		res, err := TransientCtx(context.Background(), nl, 0.5e-12, 600e-12, []string{prev})
 		if err != nil {
 			return false
 		}

@@ -79,15 +79,10 @@ func (s Spec) segment(w float64) (core.Segment, error) {
 	}, nil
 }
 
-// SweepWidth evaluates every candidate width.
-func SweepWidth(e *core.Extractor, s Spec, widths []float64) ([]Point, error) {
-	return SweepWidthCtx(context.Background(), e, s, widths)
-}
-
-// SweepWidthCtx is SweepWidth honouring cancellation between
-// candidate widths (each candidate is one extraction plus one
-// transient simulation, so a cancel lands within one candidate's
-// work).
+// SweepWidthCtx evaluates every candidate width, honouring
+// cancellation between candidates (each candidate is one extraction
+// plus one transient simulation, so a cancel lands within one
+// candidate's work).
 func SweepWidthCtx(ctx context.Context, e *core.Extractor, s Spec, widths []float64) ([]Point, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -116,14 +111,14 @@ func SweepWidthCtx(ctx context.Context, e *core.Extractor, s Spec, widths []floa
 		}
 		var rlc netlist.SegmentRLC
 		if s.WithL {
-			rlc, err = e.SegmentRLC(seg)
+			rlc, err = e.SegmentRLCCtx(ctx, seg)
 		} else {
-			rlc, err = e.SegmentRCOnly(seg)
+			rlc, err = e.SegmentRCOnlyCtx(ctx, seg)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("sizing: width %g: %w", w, err)
 		}
-		d, err := stageDelay(rlc, s, sections)
+		d, err := stageDelay(ctx, rlc, s, sections)
 		if err != nil {
 			return nil, fmt.Errorf("sizing: width %g: %w", w, err)
 		}
@@ -132,12 +127,7 @@ func SweepWidthCtx(ctx context.Context, e *core.Extractor, s Spec, widths []floa
 	return out, nil
 }
 
-// Optimize runs SweepWidth and returns the minimum-delay point.
-func Optimize(e *core.Extractor, s Spec, widths []float64) (Point, []Point, error) {
-	return OptimizeCtx(context.Background(), e, s, widths)
-}
-
-// OptimizeCtx is Optimize with cancellation; see SweepWidthCtx.
+// OptimizeCtx runs SweepWidthCtx and returns the minimum-delay point.
 func OptimizeCtx(ctx context.Context, e *core.Extractor, s Spec, widths []float64) (Point, []Point, error) {
 	pts, err := SweepWidthCtx(ctx, e, s, widths)
 	if err != nil {
@@ -153,7 +143,7 @@ func OptimizeCtx(ctx context.Context, e *core.Extractor, s Spec, widths []float6
 }
 
 // stageDelay simulates one driver + ladder + load stage.
-func stageDelay(rlc netlist.SegmentRLC, s Spec, sections int) (float64, error) {
+func stageDelay(ctx context.Context, rlc netlist.SegmentRLC, s Spec, sections int) (float64, error) {
 	nl := netlist.New()
 	start := s.RiseTime / 10
 	nl.AddV("v", "drv", netlist.Ground, netlist.Ramp{V0: 0, V1: 1, Start: start, Rise: s.RiseTime})
@@ -165,7 +155,7 @@ func stageDelay(rlc netlist.SegmentRLC, s Spec, sections int) (float64, error) {
 	// The horizon must cover slow RC corners of the sweep.
 	tau := (s.DriveRes + rlc.R) * (rlc.C + s.LoadCap)
 	horizon := 10*tau + 4*s.RiseTime + 20*math.Sqrt(rlc.L*(rlc.C+s.LoadCap))
-	res, err := sim.Transient(nl, s.RiseTime/100, horizon, []string{"out"})
+	res, err := sim.TransientCtx(ctx, nl, s.RiseTime/100, horizon, []string{"out"})
 	if err != nil {
 		return 0, err
 	}

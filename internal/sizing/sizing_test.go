@@ -1,6 +1,7 @@
 package sizing
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func extractor(t *testing.T) *core.Extractor {
 			Spacings: table.LogAxis(units.Um(0.4), units.Um(8), 5),
 			Lengths:  table.LogAxis(units.Um(500), units.Um(6000), 5),
 		}
-		ext, eErr = core.NewExtractor(tech, 6.4e9, axes, []geom.Shielding{geom.ShieldNone})
+		ext, eErr = core.NewExtractorCtx(context.Background(), tech, 6.4e9, axes, []geom.Shielding{geom.ShieldNone})
 	})
 	if eErr != nil {
 		t.Fatal(eErr)
@@ -63,7 +64,7 @@ func widthCandidates() []float64 {
 }
 
 func TestSweepWidthTrends(t *testing.T) {
-	pts, err := SweepWidth(extractor(t), testSpec(), widthCandidates())
+	pts, err := SweepWidthCtx(context.Background(), extractor(t), testSpec(), widthCandidates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSweepWidthTrends(t *testing.T) {
 }
 
 func TestOptimizeFindsInteriorMinimum(t *testing.T) {
-	best, pts, err := Optimize(extractor(t), testSpec(), widthCandidates())
+	best, pts, err := OptimizeCtx(context.Background(), extractor(t), testSpec(), widthCandidates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,17 +122,17 @@ func TestSizingValidation(t *testing.T) {
 	e := extractor(t)
 	bad := testSpec()
 	bad.Pitch = 0
-	if _, err := SweepWidth(e, bad, widthCandidates()); err == nil {
+	if _, err := SweepWidthCtx(context.Background(), e, bad, widthCandidates()); err == nil {
 		t.Error("accepted zero pitch")
 	}
-	if _, err := SweepWidth(e, testSpec(), nil); err == nil {
+	if _, err := SweepWidthCtx(context.Background(), e, testSpec(), nil); err == nil {
 		t.Error("accepted empty width list")
 	}
-	if _, err := SweepWidth(e, testSpec(), []float64{-1}); err == nil {
+	if _, err := SweepWidthCtx(context.Background(), e, testSpec(), []float64{-1}); err == nil {
 		t.Error("accepted negative width")
 	}
 	// Width that eats the whole pitch.
-	if _, err := SweepWidth(e, testSpec(), []float64{units.Um(7)}); err == nil {
+	if _, err := SweepWidthCtx(context.Background(), e, testSpec(), []float64{units.Um(7)}); err == nil {
 		t.Error("accepted width exceeding the pitch")
 	}
 }

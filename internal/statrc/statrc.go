@@ -11,6 +11,7 @@
 package statrc
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -94,7 +95,7 @@ func (v Variation) Corner(k float64) Sample {
 // capacitance models with scaled geometry, and L re-composed from the
 // extractor's tables with the scaled widths. The point of the
 // experiment: R and C shift by O(σ) while L barely moves.
-func PerturbedRLC(e *core.Extractor, seg core.Segment, s Sample) (netlist.SegmentRLC, error) {
+func PerturbedRLC(ctx context.Context, e *core.Extractor, seg core.Segment, s Sample) (netlist.SegmentRLC, error) {
 	if s.Thickness <= 0 || s.Height <= 0 {
 		return netlist.SegmentRLC{}, fmt.Errorf("statrc: degenerate sample %+v", s)
 	}
@@ -126,7 +127,7 @@ func PerturbedRLC(e *core.Extractor, seg core.Segment, s Sample) (netlist.Segmen
 	}
 	c := caps[1].Total() * p.Length
 
-	l, err := e.LoopL(p)
+	l, err := e.LoopLCtx(ctx, p)
 	if err != nil {
 		return netlist.SegmentRLC{}, err
 	}
@@ -148,7 +149,7 @@ func (s Spread) Rel() float64 {
 
 // MonteCarlo draws n samples and returns the spreads of R, C and L for
 // the segment. A deterministic seed makes experiments reproducible.
-func MonteCarlo(e *core.Extractor, seg core.Segment, v Variation, n int, seed int64) (r, c, l Spread, err error) {
+func MonteCarlo(ctx context.Context, e *core.Extractor, seg core.Segment, v Variation, n int, seed int64) (r, c, l Spread, err error) {
 	if err = v.Validate(); err != nil {
 		return
 	}
@@ -161,7 +162,7 @@ func MonteCarlo(e *core.Extractor, seg core.Segment, v Variation, n int, seed in
 	cs := make([]float64, 0, n)
 	ls := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		rlc, e2 := PerturbedRLC(e, seg, v.Draw(rng))
+		rlc, e2 := PerturbedRLC(ctx, e, seg, v.Draw(rng))
 		if e2 != nil {
 			err = e2
 			return

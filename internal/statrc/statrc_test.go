@@ -1,6 +1,7 @@
 package statrc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -34,7 +35,7 @@ func extractor(t *testing.T) *core.Extractor {
 			Spacings: table.LogAxis(units.Um(0.5), units.Um(22), 6),
 			Lengths:  table.LogAxis(units.Um(100), units.Um(6000), 6),
 		}
-		ext, eErr = core.NewExtractor(tech, 3.2e9, axes, []geom.Shielding{geom.ShieldNone})
+		ext, eErr = core.NewExtractorCtx(context.Background(), tech, 3.2e9, axes, []geom.Shielding{geom.ShieldNone})
 	})
 	if eErr != nil {
 		t.Fatal(eErr)
@@ -60,7 +61,7 @@ func typVariation() Variation {
 
 func TestLInsensitiveToProcessVariation(t *testing.T) {
 	e := extractor(t)
-	r, c, l, err := MonteCarlo(e, seg(), typVariation(), 60, 42)
+	r, c, l, err := MonteCarlo(context.Background(), e, seg(), typVariation(), 60, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +83,11 @@ func TestLInsensitiveToProcessVariation(t *testing.T) {
 
 func TestCornerDirections(t *testing.T) {
 	e := extractor(t)
-	nom, err := PerturbedRLC(e, seg(), Sample{Thickness: 1, Height: 1})
+	nom, err := PerturbedRLC(context.Background(), e, seg(), Sample{Thickness: 1, Height: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst, err := PerturbedRLC(e, seg(), typVariation().Corner(3))
+	worst, err := PerturbedRLC(context.Background(), e, seg(), typVariation().Corner(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestCornerDirections(t *testing.T) {
 	}
 	// Capacitance direction isolated: thinner dielectric alone must
 	// raise the total capacitance.
-	thin, err := PerturbedRLC(e, seg(), Sample{Thickness: 1, Height: 0.85})
+	thin, err := PerturbedRLC(context.Background(), e, seg(), Sample{Thickness: 1, Height: 0.85})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,16 +136,16 @@ func TestValidation(t *testing.T) {
 		t.Error("accepted micron-scale edge bias")
 	}
 	e := extractor(t)
-	if _, err := PerturbedRLC(e, seg(), Sample{}); err == nil {
+	if _, err := PerturbedRLC(context.Background(), e, seg(), Sample{}); err == nil {
 		t.Error("accepted zero sample")
 	}
 	// Edge growth that consumes the whole gap must fail loudly.
 	s := seg()
 	s.Spacing = units.Um(0.1)
-	if _, err := PerturbedRLC(e, s, Sample{EdgeBias: 0.06e-6, Thickness: 1, Height: 1}); err == nil {
+	if _, err := PerturbedRLC(context.Background(), e, s, Sample{EdgeBias: 0.06e-6, Thickness: 1, Height: 1}); err == nil {
 		t.Error("accepted a sample that closes the wire gap")
 	}
-	if _, _, _, err := MonteCarlo(e, seg(), typVariation(), 1, 0); err == nil {
+	if _, _, _, err := MonteCarlo(context.Background(), e, seg(), typVariation(), 1, 0); err == nil {
 		t.Error("accepted n=1")
 	}
 }

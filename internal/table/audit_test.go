@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"errors"
 	"math"
 	"path/filepath"
@@ -93,11 +94,11 @@ func TestAuditCleanSet(t *testing.T) {
 }
 
 func TestAuditCleanBuiltSet(t *testing.T) {
-	set, err := Build(freeConfig(), Axes{
+	set, err := BuildCtx(context.Background(), freeConfig(), Axes{
 		Widths:   LogAxis(units.Um(1), units.Um(8), 3),
 		Spacings: LogAxis(units.Um(1), units.Um(4), 3),
 		Lengths:  LogAxis(units.Um(200), units.Um(3000), 4),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +255,11 @@ func TestCorruptCachedTableStrictVsWarn(t *testing.T) {
 func TestBuildAuditHookStrictClean(t *testing.T) {
 	defer check.SetPolicy(check.Off)
 	check.SetPolicy(check.Strict)
-	set, err := Build(freeConfig(), Axes{
+	set, err := BuildCtx(context.Background(), freeConfig(), Axes{
 		Widths:   LogAxis(units.Um(1), units.Um(6), 3),
 		Spacings: LogAxis(units.Um(1), units.Um(3), 2),
 		Lengths:  LogAxis(units.Um(200), units.Um(2000), 3),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("strict policy rejected a clean build: %v", err)
 	}

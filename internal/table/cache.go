@@ -165,19 +165,15 @@ func (c *Cache) Dir() string { return c.dir }
 // anyway.
 func (c *Cache) Path(key string) string { return filepath.Join(c.dir, key+".rlct") }
 
-// Get looks up the set (cfg, axes) addresses. A missing entry is
+// GetCtx looks up the set (cfg, axes) addresses. A missing entry is
 // (nil, false, nil); a present entry that fails to load, fails its
 // checksum, or no longer hashes to its own address is counted corrupt
-// and treated as a miss (the next Put atomically replaces it). On a
+// and treated as a miss (the next PutCtx atomically replaces it). On a
 // hit the stored set is returned with the caller's Name and Workers
 // applied, since those are excluded from the address.
-func (c *Cache) Get(cfg Config, axes Axes) (*Set, bool, error) {
-	return c.GetCtx(context.Background(), cfg, axes)
-}
-
-// GetCtx is Get honouring cancellation: retry backoffs wake on a
-// cancelled ctx and the context error is returned rather than being
-// misread as a miss. Transient read failures (injected or the
+//
+// Retry backoffs wake on a cancelled ctx and the context error is
+// returned rather than being misread as a miss. Transient read failures (injected or the
 // retryable POSIX errnos) are re-attempted per cacheRetry; if they
 // persist the entry is counted in table.cache_io_errors and treated
 // as a miss, degrading to a rebuild instead of failing the caller.
@@ -248,13 +244,9 @@ func setWithHeader(s *Set, cfg Config) *Set {
 	return &cp
 }
 
-// Put stores a built set under its content address, atomically.
-func (c *Cache) Put(s *Set) error {
-	return c.PutCtx(context.Background(), s)
-}
-
-// PutCtx is Put honouring cancellation; transient write failures are
-// re-attempted per cacheRetry before the error is returned.
+// PutCtx stores a built set under its content address, atomically,
+// honouring cancellation; transient write failures are re-attempted
+// per cacheRetry before the error is returned.
 func (c *Cache) PutCtx(ctx context.Context, s *Set) error {
 	if s == nil {
 		return errors.New("table: cache: nil set")
@@ -276,16 +268,12 @@ func (c *Cache) PutCtx(ctx context.Context, s *Set) error {
 	return nil
 }
 
-// GetOrBuild returns the cached set for (cfg, axes) when present —
+// GetOrBuildCtx returns the cached set for (cfg, axes) when present —
 // zero field-solver calls, lookups bit-identical to a cold build —
 // and otherwise builds it (tracing to o, nil selects the default
 // observer) and writes it back for every extraction after this one.
-func (c *Cache) GetOrBuild(cfg Config, axes Axes, o *obs.Observer) (*Set, error) {
-	return c.GetOrBuildCtx(context.Background(), cfg, axes, o)
-}
-
-// GetOrBuildCtx is GetOrBuild honouring cancellation end to end: the
-// cache probe, the sweep (which drains its workers within one cell of
+//
+// It honours cancellation end to end: the cache probe, the sweep (which drains its workers within one cell of
 // a cancel) and the write-back all stop on ctx. A failed write-back
 // of a successfully built set degrades rather than fails — the set is
 // correct and usable, only its persistence was lost — counted in

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,14 +79,14 @@ func TestCacheHitZeroSolverCallsBitIdentical(t *testing.T) {
 	}
 	cfg, axes := freeConfig(), tinyAxes()
 
-	cold, err := c.GetOrBuild(cfg, axes, nil)
+	cold, err := c.GetOrBuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	solves0 := tableSolves.Value()
 	hits0, _, _, _ := CacheStats()
-	warm, err := c.GetOrBuild(cfg, axes, nil)
+	warm, err := c.GetOrBuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +136,12 @@ func TestCacheHitAppliesCallerName(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuildCtx(context.Background(), cfg, axes, nil); err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
 	other.Name = "M7/coplanar"
-	s, ok, err := c.Get(other, axes)
+	s, ok, err := c.GetCtx(context.Background(), other, axes)
 	if err != nil || !ok {
 		t.Fatalf("expected a hit, got ok=%v err=%v", ok, err)
 	}
@@ -157,7 +158,7 @@ func TestCacheCorruptEntryIsMissAndHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuildCtx(context.Background(), cfg, axes, nil); err != nil {
 		t.Fatal(err)
 	}
 	key, err := CacheKey(cfg, axes)
@@ -173,17 +174,17 @@ func TestCacheCorruptEntryIsMissAndHeals(t *testing.T) {
 	}
 
 	_, _, _, corrupt0 := CacheStats()
-	if _, ok, err := c.Get(cfg, axes); err != nil || ok {
+	if _, ok, err := c.GetCtx(context.Background(), cfg, axes); err != nil || ok {
 		t.Fatalf("corrupt entry: ok=%v err=%v, want miss", ok, err)
 	}
 	if _, _, _, corrupt := CacheStats(); corrupt-corrupt0 != 1 {
 		t.Errorf("cache_corrupt += %d, want 1", corrupt-corrupt0)
 	}
 	// GetOrBuild heals the entry; the next Get is a clean hit again.
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuildCtx(context.Background(), cfg, axes, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := c.Get(cfg, axes); err != nil || !ok {
+	if _, ok, err := c.GetCtx(context.Background(), cfg, axes); err != nil || !ok {
 		t.Errorf("healed entry: ok=%v err=%v, want hit", ok, err)
 	}
 }
@@ -197,7 +198,7 @@ func TestCacheRejectsMisfiledEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuildCtx(context.Background(), cfg, axes, nil); err != nil {
 		t.Fatal(err)
 	}
 	key, err := CacheKey(cfg, axes)
@@ -218,7 +219,7 @@ func TestCacheRejectsMisfiledEntry(t *testing.T) {
 	if err := os.WriteFile(c.Path(otherKey), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := c.Get(other, axes); ok {
+	if _, ok, _ := c.GetCtx(context.Background(), other, axes); ok {
 		t.Error("cache served an entry that hashes to a different address")
 	}
 }
@@ -231,7 +232,7 @@ func TestCacheValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(nil); err == nil {
+	if err := c.PutCtx(context.Background(), nil); err == nil {
 		t.Error("Put accepted a nil set")
 	}
 	if !strings.HasPrefix(filepath.Base(c.Path("abc")), "abc") {

@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"testing"
@@ -19,7 +20,7 @@ func TestCacheEntryIsV3Mapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuildCtx(context.Background(), cfg, axes, nil); err != nil {
 		t.Fatal(err)
 	}
 	key, err := CacheKey(cfg, axes)
@@ -33,7 +34,7 @@ func TestCacheEntryIsV3Mapped(t *testing.T) {
 	if !bytes.HasPrefix(raw, v3Magic[:]) {
 		t.Fatalf("cache entry does not start with the v3 magic: % x", raw[:8])
 	}
-	s, ok, err := c.Get(cfg, axes)
+	s, ok, err := c.GetCtx(context.Background(), cfg, axes)
 	if err != nil || !ok {
 		t.Fatalf("warm get: ok=%v err=%v", ok, err)
 	}
@@ -58,7 +59,7 @@ func TestCacheStrictAuditViolationPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	built, err := c.GetOrBuild(cfg, axes, nil)
+	built, err := c.GetOrBuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestCacheStrictAuditViolationPropagates(t *testing.T) {
 
 	check.SetPolicy(check.Strict)
 	_, _, _, corrupt0 := CacheStats()
-	_, ok, err := c.Get(cfg, axes)
+	_, ok, err := c.GetCtx(context.Background(), cfg, axes)
 	if ok {
 		t.Fatal("strict policy: cache served a set that violates physical invariants")
 	}
@@ -100,13 +101,13 @@ func TestCacheStrictAuditViolationPropagates(t *testing.T) {
 	}
 
 	// GetOrBuild must fail too — not silently rebuild past the policy.
-	if _, err := c.GetOrBuild(cfg, axes, nil); !errors.Is(err, check.ErrViolation) {
+	if _, err := c.GetOrBuildCtx(context.Background(), cfg, axes, nil); !errors.Is(err, check.ErrViolation) {
 		t.Errorf("GetOrBuild under strict policy: got %v, want ErrViolation", err)
 	}
 
 	// Warn accepts the entry (counting the violation globally).
 	check.SetPolicy(check.Warn)
-	if _, ok, err := c.Get(cfg, axes); err != nil || !ok {
+	if _, ok, err := c.GetCtx(context.Background(), cfg, axes); err != nil || !ok {
 		t.Errorf("warn policy: ok=%v err=%v, want a hit", ok, err)
 	}
 }
@@ -127,7 +128,7 @@ func TestCacheSpanRecordsKey(t *testing.T) {
 	for _, wantOutcome := range []string{"miss", "hit"} {
 		sink := &obs.MemorySink{}
 		o := obs.New(sink)
-		if _, err := c.GetOrBuild(cfg, axes, o); err != nil {
+		if _, err := c.GetOrBuildCtx(context.Background(), cfg, axes, o); err != nil {
 			t.Fatal(err)
 		}
 		found := false

@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 // codecTestSet builds one tiny set for persistence tests.
 func codecTestSet(t *testing.T) *Set {
 	t.Helper()
-	set, err := Build(freeConfig(), tinyAxes())
+	set, err := BuildCtx(context.Background(), freeConfig(), tinyAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

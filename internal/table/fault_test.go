@@ -44,14 +44,14 @@ func TestInjectedSolverErrorFailsBuild(t *testing.T) {
 		Point: fault.SolverCall, Mode: fault.ModeError, Nth: 2,
 	}))
 	defer fault.Reset()
-	if _, err := Build(cfg, axes); !errors.Is(err, fault.ErrInjected) {
+	if _, err := BuildCtx(context.Background(), cfg, axes, nil); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
 }
 
 func TestTransientSolverErrorIsRetriedToSuccess(t *testing.T) {
 	cfg, axes := chaosConfig()
-	clean, err := Build(cfg, axes)
+	clean, err := BuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestTransientSolverErrorIsRetriedToSuccess(t *testing.T) {
 		Nth: 7, Transient: true, Times: 1,
 	}))
 	defer fault.Reset()
-	chaotic, err := Build(cfg, axes)
+	chaotic, err := BuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatalf("transient errors should be absorbed by retry: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestPersistentTransientSolverErrorExhaustsRetries(t *testing.T) {
 		Prob: 1, Transient: true,
 	}))
 	defer fault.Reset()
-	_, err := Build(cfg, axes)
+	_, err := BuildCtx(context.Background(), cfg, axes, nil)
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("want exhausted injected error, got %v", err)
 	}
@@ -102,7 +102,7 @@ func TestInjectedWorkerPanicSurfacesAsCellPanic(t *testing.T) {
 		Point: fault.SolverCall, Mode: fault.ModePanic, Nth: 2,
 	}))
 	defer fault.Reset()
-	_, err := Build(cfg, axes)
+	_, err := BuildCtx(context.Background(), cfg, axes, nil)
 	var cp *CellPanic
 	if !errors.As(err, &cp) {
 		t.Fatalf("want *CellPanic, got %v", err)
@@ -131,7 +131,7 @@ func TestInjectedLatencySlowsButDoesNotFail(t *testing.T) {
 	}))
 	defer fault.Reset()
 	t0 := time.Now()
-	if _, err := Build(cfg, axes); err != nil {
+	if _, err := BuildCtx(context.Background(), cfg, axes, nil); err != nil {
 		t.Fatalf("latency injection must not fail the build: %v", err)
 	}
 	if took := time.Since(t0); took < delay {
@@ -141,7 +141,7 @@ func TestInjectedLatencySlowsButDoesNotFail(t *testing.T) {
 
 func TestInjectedLookupError(t *testing.T) {
 	cfg, axes := chaosConfig()
-	set, err := Build(cfg, axes)
+	set, err := BuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCacheGracefulDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prime the cache, then corrupt the stored entry in place.
-	clean, err := cache.GetOrBuild(cfg, axes, nil)
+	clean, err := cache.GetOrBuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestCacheGracefulDegradation(t *testing.T) {
 		Nth: 1, Transient: true, Times: 1,
 	}))
 	defer fault.Reset()
-	rebuilt, err := cache.GetOrBuild(cfg, axes, nil)
+	rebuilt, err := cache.GetOrBuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatalf("degraded read must rebuild, not fail: %v", err)
 	}
@@ -249,7 +249,7 @@ func TestCacheGracefulDegradation(t *testing.T) {
 	}
 	// The rebuild re-persisted the entry; a clean process sees a hit.
 	fault.Reset()
-	if _, ok, err := cache.Get(cfg, axes); err != nil || !ok {
+	if _, ok, err := cache.GetCtx(context.Background(), cfg, axes); err != nil || !ok {
 		t.Fatalf("entry not healed: ok=%v err=%v", ok, err)
 	}
 }
@@ -268,7 +268,7 @@ func TestCacheWriteFailureDegradesToUnpersistedSet(t *testing.T) {
 		Prob: 1, Transient: true,
 	}))
 	defer fault.Reset()
-	set, err := cache.GetOrBuild(cfg, axes, nil)
+	set, err := cache.GetOrBuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatalf("write-back failure must not fail the extraction: %v", err)
 	}
@@ -276,7 +276,7 @@ func TestCacheWriteFailureDegradesToUnpersistedSet(t *testing.T) {
 		t.Fatal("no set returned")
 	}
 	fault.Reset()
-	if _, ok, err := cache.Get(cfg, axes); err != nil || ok {
+	if _, ok, err := cache.GetCtx(context.Background(), cfg, axes); err != nil || ok {
 		t.Fatalf("entry should not have been persisted: ok=%v err=%v", ok, err)
 	}
 }

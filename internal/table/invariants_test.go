@@ -11,6 +11,7 @@ package table
 // entry consulting a third trace) fails loudly.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestFoundation1SelfTableIgnoresUnrelatedConfig(t *testing.T) {
 		Spacings: LogAxis(units.Um(1), units.Um(4), 2),
 		Lengths:  LogAxis(units.Um(200), units.Um(2000), 3),
 	}
-	base, err := Build(freeConfig(), axes)
+	base, err := BuildCtx(context.Background(), freeConfig(), axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestFoundation1SelfTableIgnoresUnrelatedConfig(t *testing.T) {
 	cfg.Name = "some/other-name"
 	cfg.Workers = 3
 	cfg.PlaneStrips = 5
-	alt, err := Build(cfg, axes)
+	alt, err := BuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +54,13 @@ func TestFoundation1SelfTableIgnoresUnrelatedConfig(t *testing.T) {
 func TestFoundation1SelfTableIgnoresSpacingAxis(t *testing.T) {
 	widths := LogAxis(units.Um(1), units.Um(8), 3)
 	lengths := LogAxis(units.Um(200), units.Um(2000), 3)
-	a, err := Build(freeConfig(), Axes{Widths: widths,
-		Spacings: LogAxis(units.Um(1), units.Um(4), 2), Lengths: lengths})
+	a, err := BuildCtx(context.Background(), freeConfig(), Axes{Widths: widths,
+		Spacings: LogAxis(units.Um(1), units.Um(4), 2), Lengths: lengths}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(freeConfig(), Axes{Widths: widths,
-		Spacings: LogAxis(units.Um(0.6), units.Um(20), 4), Lengths: lengths})
+	b, err := BuildCtx(context.Background(), freeConfig(), Axes{Widths: widths,
+		Spacings: LogAxis(units.Um(0.6), units.Um(20), 4), Lengths: lengths}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestFoundation2MutualLookupDependsOnlyOnPair(t *testing.T) {
 		Spacings: LogAxis(units.Um(1), units.Um(4), 2),
 		Lengths:  LogAxis(units.Um(200), units.Um(2000), 3),
 	}
-	set, err := Build(cfg, axes)
+	set, err := BuildCtx(context.Background(), cfg, axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +27,7 @@ func TestLibraryRoundTrip(t *testing.T) {
 			cfg = microstripConfig()
 			cfg.Name = name
 		}
-		s, err := Build(cfg, tinyAxes())
+		s, err := BuildCtx(context.Background(), cfg, tinyAxes(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestLibraryRoundTrip(t *testing.T) {
 // collapsed "a/b", "a\\b" and "a__b" onto one file and SaveDir
 // silently kept only the last set written.
 func TestLibraryAdversarialNamesRoundTrip(t *testing.T) {
-	base, err := Build(freeConfig(), tinyAxes())
+	base, err := BuildCtx(context.Background(), freeConfig(), tinyAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestLibraryAdversarialNamesRoundTrip(t *testing.T) {
 // case-insensitive filesystem; SaveDir must refuse up front rather
 // than overwrite one set silently.
 func TestSaveDirRejectsCaseCollision(t *testing.T) {
-	base, err := Build(freeConfig(), tinyAxes())
+	base, err := BuildCtx(context.Background(), freeConfig(), tinyAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestLibraryValidation(t *testing.T) {
 		t.Error("accepted anonymous set")
 	}
 	cfg := freeConfig()
-	s, err := Build(cfg, tinyAxes())
+	s, err := BuildCtx(context.Background(), cfg, tinyAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"sync"
@@ -12,7 +13,7 @@ import (
 // the copy ownership of the file mapping.
 func TestWithLookupSharesGridsWithoutMutation(t *testing.T) {
 	dir := t.TempDir()
-	set, err := Build(freeConfig(), tinyAxes())
+	set, err := BuildCtx(context.Background(), freeConfig(), tinyAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestLibraryCloseReleasesMappings(t *testing.T) {
 	for _, name := range []string{"M6/coplanar", "M6/b"} {
 		cfg := freeConfig()
 		cfg.Name = name
-		s, err := Build(cfg, tinyAxes())
+		s, err := BuildCtx(context.Background(), cfg, tinyAxes(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

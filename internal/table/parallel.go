@@ -43,12 +43,6 @@ func runCell(fn func(k int) error, k int) (err error) {
 	return fn(k)
 }
 
-// ParallelFor is ParallelForCtx without cancellation; it remains the
-// signature the pre-context callers use.
-func ParallelFor(n, workers int, fn func(k int) error) error {
-	return ParallelForCtx(context.Background(), n, workers, fn)
-}
-
 // ParallelForCtx runs fn(k) for k in [0, n) on up to workers
 // goroutines. Indices are claimed from an atomic cursor, so callers
 // that write results by index get deterministic output regardless of

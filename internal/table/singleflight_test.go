@@ -148,7 +148,7 @@ func TestGetCtxConcurrentDistinctNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuildCtx(context.Background(), cfg, axes, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -279,25 +279,6 @@ type Set struct {
 	unmap func() error
 }
 
-// Build sweeps the numerical engine over the axes and assembles the
-// spline tables. Self entries come from 1-trace solves, mutual
-// entries from 2-trace solves, each with the configuration's plane(s)
-// when shielded. The sweep runs on a bounded worker pool
-// (cfg.Workers, default GOMAXPROCS); entries are written by index, so
-// the result is bit-for-bit identical to a serial build. Tracing goes
-// to the default observer; use BuildObserved to direct it elsewhere.
-func Build(cfg Config, axes Axes) (*Set, error) {
-	return BuildCtx(context.Background(), cfg, axes, nil)
-}
-
-// BuildObserved is Build tracing to the given observer (nil selects
-// the default observer). The build span is touched only from the
-// calling goroutine; workers contribute solely through the atomic
-// metrics counters.
-func BuildObserved(cfg Config, axes Axes, o *obs.Observer) (*Set, error) {
-	return BuildCtx(context.Background(), cfg, axes, o)
-}
-
 // solverRetry re-attempts transient field-solver failures (per
 // fault.IsTransient) a few times with jittered backoff before failing
 // the sweep cell; deterministic solver errors fail on the first try.
@@ -309,9 +290,16 @@ var solverRetry = fault.Policy{
 	Jitter:   0.5,
 }
 
-// BuildCtx is Build honouring cancellation and deadlines: a cancelled
-// ctx stops the sweep within one cell's solve time, drains every
-// worker (no goroutine survives the return) and yields ctx.Err().
+// BuildCtx sweeps the numerical engine over the axes and assembles the
+// spline tables. Self entries come from 1-trace solves, mutual
+// entries from 2-trace solves, each with the configuration's plane(s)
+// when shielded. The sweep runs on a bounded worker pool
+// (cfg.Workers, default GOMAXPROCS); entries are written by index, so
+// the result is bit-for-bit identical to a serial build. Tracing goes
+// to o (nil selects the default observer), parented through ctx.
+//
+// A cancelled ctx stops the sweep within one cell's solve time, drains
+// every worker (no goroutine survives the return) and yields ctx.Err().
 // Transient solver failures are retried per solverRetry; a panicking
 // sweep cell surfaces as a *CellPanic carrying its cell index.
 func BuildCtx(ctx context.Context, cfg Config, axes Axes, o *obs.Observer) (*Set, error) {

@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -46,7 +47,7 @@ func smallAxes() Axes {
 }
 
 func TestBuildFreeAndLookupAccuracy(t *testing.T) {
-	set, err := Build(freeConfig(), smallAxes())
+	set, err := BuildCtx(context.Background(), freeConfig(), smallAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +89,12 @@ func TestBuildFreeAndLookupAccuracy(t *testing.T) {
 }
 
 func TestBuildMicrostripLoopTables(t *testing.T) {
-	set, err := Build(microstripConfig(), smallAxes())
+	set, err := BuildCtx(context.Background(), microstripConfig(), smallAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Loop L over a plane must be well below the free partial L.
-	free, err := Build(freeConfig(), smallAxes())
+	free, err := BuildCtx(context.Background(), freeConfig(), smallAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestBuildMicrostripLoopTables(t *testing.T) {
 }
 
 func TestMutualSymmetryInWidths(t *testing.T) {
-	set, err := Build(freeConfig(), smallAxes())
+	set, err := BuildCtx(context.Background(), freeConfig(), smallAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestMutualSymmetryInWidths(t *testing.T) {
 }
 
 func TestTableMonotoneTrends(t *testing.T) {
-	set, err := Build(freeConfig(), smallAxes())
+	set, err := BuildCtx(context.Background(), freeConfig(), smallAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestTableMonotoneTrends(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	set, err := Build(freeConfig(), smallAxes())
+	set, err := BuildCtx(context.Background(), freeConfig(), smallAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestSaveFileLoadFile(t *testing.T) {
-	set, err := Build(freeConfig(), Axes{
+	set, err := BuildCtx(context.Background(), freeConfig(), Axes{
 		Widths:   LogAxis(units.Um(1), units.Um(4), 2),
 		Spacings: LogAxis(units.Um(1), units.Um(2), 2),
 		Lengths:  LogAxis(units.Um(100), units.Um(1000), 3),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,17 +243,17 @@ func TestLoadRejectsGarbage(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := freeConfig()
 	bad.Thickness = 0
-	if _, err := Build(bad, smallAxes()); err == nil {
+	if _, err := BuildCtx(context.Background(), bad, smallAxes(), nil); err == nil {
 		t.Error("Build accepted zero thickness")
 	}
 	bad = freeConfig()
 	bad.Frequency = 0
-	if _, err := Build(bad, smallAxes()); err == nil {
+	if _, err := BuildCtx(context.Background(), bad, smallAxes(), nil); err == nil {
 		t.Error("Build accepted zero frequency")
 	}
 	bad = microstripConfig()
 	bad.PlaneGap = 0
-	if _, err := Build(bad, smallAxes()); err == nil {
+	if _, err := BuildCtx(context.Background(), bad, smallAxes(), nil); err == nil {
 		t.Error("Build accepted microstrip without plane gap")
 	}
 }
@@ -276,11 +277,11 @@ func TestAxesValidation(t *testing.T) {
 }
 
 func TestLookupArgumentValidation(t *testing.T) {
-	set, err := Build(freeConfig(), Axes{
+	set, err := BuildCtx(context.Background(), freeConfig(), Axes{
 		Widths:   LogAxis(units.Um(1), units.Um(4), 2),
 		Spacings: LogAxis(units.Um(1), units.Um(2), 2),
 		Lengths:  LogAxis(units.Um(100), units.Um(1000), 3),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,13 +299,13 @@ func TestLookupArgumentValidation(t *testing.T) {
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	serial := freeConfig()
 	serial.Workers = 1
-	a, err := Build(serial, smallAxes())
+	a, err := BuildCtx(context.Background(), serial, smallAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel := freeConfig()
 	parallel.Workers = 8
-	b, err := Build(parallel, smallAxes())
+	b, err := BuildCtx(context.Background(), parallel, smallAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestMutualEntriesCountsSolvesOnly(t *testing.T) {
 	ents0 := tableMutEnts.Value()
 	solves0 := tableSolves.Value()
 	axes := smallAxes()
-	if _, err := Build(freeConfig(), axes); err != nil {
+	if _, err := BuildCtx(context.Background(), freeConfig(), axes, nil); err != nil {
 		t.Fatal(err)
 	}
 	nw, ns, nl := len(axes.Widths), len(axes.Spacings), len(axes.Lengths)
@@ -344,7 +345,7 @@ func TestMutualEntriesCountsSolvesOnly(t *testing.T) {
 // -race) and with values identical to a serial pass — the regression
 // test for the lazily mutated spline cache.
 func TestConcurrentLookups(t *testing.T) {
-	set, err := Build(freeConfig(), smallAxes())
+	set, err := BuildCtx(context.Background(), freeConfig(), smallAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		const n = 137
 		var hits [n]atomic.Int32
-		if err := ParallelFor(n, workers, func(k int) error {
+		if err := ParallelForCtx(context.Background(), n, workers, func(k int) error {
 			hits[k].Add(1)
 			return nil
 		}); err != nil {
@@ -423,7 +424,7 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 func TestParallelForPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	err := ParallelFor(1000, 4, func(k int) error {
+	err := ParallelForCtx(context.Background(), 1000, 4, func(k int) error {
 		ran.Add(1)
 		if k == 17 {
 			return boom
@@ -451,7 +452,7 @@ func TestGridDensityAblation(t *testing.T) {
 			Spacings: LogAxis(units.Um(0.8), units.Um(6), 3),
 			Lengths:  LogAxis(units.Um(100), units.Um(6000), nl),
 		}
-		set, err := Build(cfg, axes)
+		set, err := BuildCtx(context.Background(), cfg, axes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,7 +486,7 @@ func TestGridDensityAblation(t *testing.T) {
 }
 
 func TestLookupClampCounting(t *testing.T) {
-	set, err := Build(freeConfig(), smallAxes())
+	set, err := BuildCtx(context.Background(), freeConfig(), smallAxes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@
 package xtalk
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -89,7 +90,7 @@ type Result struct {
 }
 
 // Run simulates the scenario with extractor e's technology.
-func Run(e *core.Extractor, sc Scenario) (*Result, error) {
+func Run(ctx context.Context, e *core.Extractor, sc Scenario) (*Result, error) {
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -230,7 +231,7 @@ func Run(e *core.Extractor, sc Scenario) (*Result, error) {
 	nl.AddC("cla", "a.out", netlist.Ground, sc.LoadCap)
 
 	horizon := 20 * sc.RiseTime
-	res, err := sim.Transient(nl, sc.RiseTime/200, horizon, []string{"v.out"})
+	res, err := sim.TransientCtx(ctx, nl, sc.RiseTime/200, horizon, []string{"v.out"})
 	if err != nil {
 		return nil, fmt.Errorf("xtalk: %w", err)
 	}
@@ -254,7 +255,7 @@ type ShieldSweepPoint struct {
 // ShieldWidthSweep measures victim noise as the shield width scales
 // relative to the signal width — the experiment behind the paper's
 // "at least equal width" shielding rule.
-func ShieldWidthSweep(e *core.Extractor, base Scenario, ratios []float64) ([]ShieldSweepPoint, error) {
+func ShieldWidthSweep(ctx context.Context, e *core.Extractor, base Scenario, ratios []float64) ([]ShieldSweepPoint, error) {
 	var out []ShieldSweepPoint
 	for _, r := range ratios {
 		if r <= 0 {
@@ -262,7 +263,7 @@ func ShieldWidthSweep(e *core.Extractor, base Scenario, ratios []float64) ([]Shi
 		}
 		sc := base
 		sc.Victim.GroundWidth = r * base.Victim.SignalWidth
-		res, err := Run(e, sc)
+		res, err := Run(ctx, e, sc)
 		if err != nil {
 			return nil, fmt.Errorf("xtalk: ratio %g: %w", r, err)
 		}

@@ -1,6 +1,7 @@
 package xtalk
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func extractor(t *testing.T) *core.Extractor {
 			Spacings: table.LogAxis(units.Um(0.5), units.Um(10), 3),
 			Lengths:  table.LogAxis(units.Um(100), units.Um(4000), 4),
 		}
-		ext, eErr = core.NewExtractor(tech, 6.4e9, axes, []geom.Shielding{geom.ShieldNone})
+		ext, eErr = core.NewExtractorCtx(context.Background(), tech, 6.4e9, axes, []geom.Shielding{geom.ShieldNone})
 	})
 	if eErr != nil {
 		t.Fatal(eErr)
@@ -56,7 +57,7 @@ func baseScenario() Scenario {
 }
 
 func TestNoiseIsBoundedAndNonzero(t *testing.T) {
-	res, err := Run(extractor(t), baseScenario())
+	res, err := Run(context.Background(), extractor(t), baseScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestNoiseIsBoundedAndNonzero(t *testing.T) {
 func TestWiderShieldsReduceNoise(t *testing.T) {
 	// The Section IV "at least equal width" experiment: noise decays
 	// monotonically as the shields widen.
-	pts, err := ShieldWidthSweep(extractor(t), baseScenario(), []float64{0.25, 0.5, 1, 2})
+	pts, err := ShieldWidthSweep(context.Background(), extractor(t), baseScenario(), []float64{0.25, 0.5, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +101,13 @@ func TestShieldsSuppressCoupling(t *testing.T) {
 	// shielded case has to its shield) must see several times the
 	// noise.
 	e := extractor(t)
-	shielded, err := Run(e, baseScenario())
+	shielded, err := Run(context.Background(), e, baseScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
 	un := baseScenario()
 	un.Unshielded = true
-	unshielded, err := Run(e, un)
+	unshielded, err := Run(context.Background(), e, un)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,15 +121,15 @@ func TestScenarioValidation(t *testing.T) {
 	e := extractor(t)
 	sc := baseScenario()
 	sc.AggressorWidth = 0
-	if _, err := Run(e, sc); err == nil {
+	if _, err := Run(context.Background(), e, sc); err == nil {
 		t.Error("accepted zero aggressor width")
 	}
 	sc = baseScenario()
 	sc.Victim.Length = 0
-	if _, err := Run(e, sc); err == nil {
+	if _, err := Run(context.Background(), e, sc); err == nil {
 		t.Error("accepted invalid victim")
 	}
-	if _, err := ShieldWidthSweep(e, baseScenario(), []float64{-1}); err == nil {
+	if _, err := ShieldWidthSweep(context.Background(), e, baseScenario(), []float64{-1}); err == nil {
 		t.Error("accepted negative width ratio")
 	}
 }
