@@ -64,6 +64,20 @@ func main() {
 
 func run(ctx context.Context, length, wsig, wgnd, space float64, shield string, thickness, capHeight,
 	tr float64, tablePath, cacheDir string, doNetlist bool, sections int, lookupPol string) error {
+	for _, err := range []error{
+		cliobs.CheckPositiveFlag("tr", tr),
+		cliobs.CheckPositiveFlag("len", length),
+		cliobs.CheckPositiveFlag("wsig", wsig),
+		cliobs.CheckPositiveFlag("wgnd", wgnd),
+		cliobs.CheckPositiveFlag("space", space),
+		cliobs.CheckPositiveFlag("thickness", thickness),
+		cliobs.CheckPositiveFlag("caph", capHeight),
+		cliobs.CheckPositiveFlag("sections", float64(sections)),
+	} {
+		if err != nil {
+			return err
+		}
+	}
 	var sh geom.Shielding
 	switch shield {
 	case "coplanar":

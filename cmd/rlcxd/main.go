@@ -106,7 +106,42 @@ func main() {
 	}
 }
 
+// checkFlags refuses flag values the daemon cannot run with. Zero keeps
+// the meaning the help text gives it (unbounded, none, GOMAXPROCS);
+// only negative counts and durations are refused.
+func checkFlags(o options) error {
+	for _, err := range []error{
+		cliobs.CheckPositiveFlag("thickness", o.thickness),
+		cliobs.CheckPositiveFlag("caph", o.capHeight),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	for _, f := range []struct {
+		name string
+		neg  bool
+		v    any
+	}{
+		{"max-sets", o.maxSets < 0, o.maxSets},
+		{"workers", o.workers < 0, o.workers},
+		{"max-inflight", o.maxInflight < 0, o.maxInflight},
+		{"queue", o.queue < 0, o.queue},
+		{"breaker-failures", o.breakerFailures < 0, o.breakerFailures},
+		{"request-timeout", o.requestTimeout < 0, o.requestTimeout},
+		{"queue-wait", o.queueWait < 0, o.queueWait},
+	} {
+		if f.neg {
+			return fmt.Errorf("%w: -%s %v (want 0 or more)", cliobs.ErrBadFlag, f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func run(ctx context.Context, o options) error {
+	if err := checkFlags(o); err != nil {
+		return err
+	}
 	checkPolicy, err := check.ParsePolicy(o.checkPol)
 	if err != nil {
 		return fmt.Errorf("-check: %w", err)

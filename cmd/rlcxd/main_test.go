@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,6 +18,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"clockrlc/internal/cliobs"
 )
 
 var (
@@ -277,5 +281,55 @@ func TestHealthzDuringDrain(t *testing.T) {
 	}
 	if code := d.wait(t, 30*time.Second); code != 143 {
 		t.Errorf("exit code %d, want 143; stderr: %s", code, d.errB)
+	}
+}
+
+// Negative counts and durations, and non-positive geometry, are
+// refused with cliobs.ErrBadFlag before the daemon listens, and the
+// binary exits 2 for them instead of starting silently.
+func TestRunRejectsDegenerateFlags(t *testing.T) {
+	cases := []struct {
+		flag, value string
+		set         func(*options)
+	}{
+		{"-queue", "-1", func(o *options) { o.queue = -1 }},
+		{"-workers", "-1", func(o *options) { o.workers = -1 }},
+		{"-max-sets", "-1", func(o *options) { o.maxSets = -1 }},
+		{"-max-inflight", "-2", func(o *options) { o.maxInflight = -2 }},
+		{"-breaker-failures", "-1", func(o *options) { o.breakerFailures = -1 }},
+		{"-request-timeout", "-1s", func(o *options) { o.requestTimeout = -time.Second }},
+		{"-queue-wait", "-1s", func(o *options) { o.queueWait = -time.Second }},
+		{"-thickness", "0", func(o *options) { o.thickness = 0 }},
+		{"-caph", "-2", func(o *options) { o.capHeight = -2 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			o := options{
+				addr: "127.0.0.1:0", maxSets: 64, thickness: 2, capHeight: 2,
+				checkPol: "warn", lookupPol: "extrapolate", drain: time.Second,
+				requestTimeout: time.Second, maxInflight: 4, queue: 4, queueWait: time.Second,
+				breakerFailures: 5, breakerCooldown: time.Second,
+			}
+			tc.set(&o)
+			err := run(context.Background(), o)
+			if !errors.Is(err, cliobs.ErrBadFlag) || !strings.Contains(err.Error(), tc.flag+" ") {
+				t.Fatalf("run = %v, want ErrBadFlag naming %s", err, tc.flag)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, binary(t), "-addr", "127.0.0.1:0", tc.flag+"="+tc.value)
+			out, err := cmd.CombinedOutput()
+			if code := cmd.ProcessState.ExitCode(); code != cliobs.ExitUsage {
+				t.Fatalf("exit code %d (%v), want %d; output:\n%s", code, err, cliobs.ExitUsage, out)
+			}
+			if !strings.Contains(string(out), "bad flag: "+tc.flag+" ") || strings.Contains(string(out), "panic:") {
+				t.Errorf("stderr does not name %s cleanly:\n%s", tc.flag, out)
+			}
+		})
+	}
+	// Zero keeps its documented meaning: unbounded admission, no
+	// request budget, GOMAXPROCS workers, an unbounded registry.
+	if err := checkFlags(options{thickness: 2, capHeight: 2}); err != nil {
+		t.Errorf("zero-valued counts and durations refused: %v", err)
 	}
 }

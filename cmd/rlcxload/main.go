@@ -298,8 +298,19 @@ func postOnce(ctx context.Context, client *http.Client, url string, body []byte)
 
 func run(ctx context.Context, addr string, n, c, batch int, tr float64, warm int,
 	inprocess bool, ro retryOpts, timeout time.Duration) (*report, error) {
-	if n <= 0 || c <= 0 || batch <= 0 {
-		return nil, fmt.Errorf("-n, -c and -batch must be positive")
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"n", n}, {"c", c}, {"batch", batch}} {
+		if f.v <= 0 {
+			return nil, fmt.Errorf("%w: -%s %d (want at least 1)", cliobs.ErrBadFlag, f.name, f.v)
+		}
+	}
+	if warm < 0 {
+		return nil, fmt.Errorf("%w: -warm %d (want 0 or more)", cliobs.ErrBadFlag, warm)
+	}
+	if err := cliobs.CheckPositiveFlag("tr", tr); err != nil {
+		return nil, err
 	}
 	url := "http://" + addr + "/v1/batch"
 	client := &http.Client{Timeout: timeout}

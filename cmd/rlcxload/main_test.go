@@ -2,11 +2,20 @@ package main
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"clockrlc/internal/cliobs"
 )
 
 // fastRetry keeps backoff sleeps microscopic so tests don't wait out
@@ -165,4 +174,70 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Degenerate workload flags are refused with cliobs.ErrBadFlag before
+// any request is sent, and the binary exits 2 for them.
+func TestRunRejectsDegenerateFlags(t *testing.T) {
+	type args struct {
+		n, c, batch, warm int
+		tr                float64
+	}
+	cases := []struct {
+		flag, value string
+		set         func(*args)
+	}{
+		{"-n", "0", func(a *args) { a.n = 0 }},
+		{"-c", "0", func(a *args) { a.c = 0 }},
+		{"-batch", "0", func(a *args) { a.batch = 0 }},
+		{"-warm", "-1", func(a *args) { a.warm = -1 }},
+		{"-tr", "0", func(a *args) { a.tr = 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			a := args{n: 10, c: 2, batch: 8, warm: 0, tr: 50}
+			tc.set(&a)
+			// An address nothing listens on: the flags must be refused
+			// before the first request.
+			_, err := run(context.Background(), "127.0.0.1:1", a.n, a.c, a.batch, a.tr, a.warm, false, fastRetry, time.Second)
+			if !errors.Is(err, cliobs.ErrBadFlag) || !strings.Contains(err.Error(), tc.flag+" ") {
+				t.Fatalf("run = %v, want ErrBadFlag naming %s", err, tc.flag)
+			}
+			cmd := exec.Command(binary(t), "-addr", "127.0.0.1:1", tc.flag+"="+tc.value)
+			out, err := cmd.CombinedOutput()
+			if code := cmd.ProcessState.ExitCode(); code != cliobs.ExitUsage {
+				t.Fatalf("exit code %d (%v), want %d; output:\n%s", code, err, cliobs.ExitUsage, out)
+			}
+			if !strings.Contains(string(out), "bad flag: "+tc.flag+" ") || strings.Contains(string(out), "panic:") {
+				t.Errorf("stderr does not name %s cleanly:\n%s", tc.flag, out)
+			}
+		})
+	}
+}
+
+var (
+	buildOnce sync.Once
+	buildPath string
+	buildErr  error
+)
+
+// binary builds rlcxload once per test run.
+func binary(t *testing.T) string {
+	t.Helper()
+	buildOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "rlcxload-test-*")
+		if err != nil {
+			buildErr = err
+			return
+		}
+		buildPath = filepath.Join(dir, "rlcxload")
+		out, err := exec.Command("go", "build", "-o", buildPath, ".").CombinedOutput()
+		if err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
+	}
+	return buildPath
 }

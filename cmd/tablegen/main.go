@@ -159,10 +159,17 @@ func run(ctx context.Context, out, format, name string, thickness float64, rhoNa
 		cliobs.CheckAxisFlags("wmin", wmin, "wmax", wmax, "nw", nw),
 		cliobs.CheckAxisFlags("smin", smin, "smax", smax, "ns", ns),
 		cliobs.CheckAxisFlags("lmin", lmin, "lmax", lmax, "nl", nl),
+		cliobs.CheckPositiveFlag("tr", tr),
+		cliobs.CheckPositiveFlag("thickness", thickness),
+		cliobs.CheckPositiveFlag("planegap", planeGap),
+		cliobs.CheckPositiveFlag("planethickness", planeT),
 	} {
 		if err != nil {
 			return err
 		}
+	}
+	if workers < 0 {
+		return fmt.Errorf("%w: -workers %d (want 0 for all cores, or more)", cliobs.ErrBadFlag, workers)
 	}
 	var rho float64
 	switch rhoName {

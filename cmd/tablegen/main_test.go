@@ -151,13 +151,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// Degenerate axis flags are refused up front with cliobs.ErrBadFlag
-// (before any solve), and the binary exits 2 for them instead of
-// panicking in table.LogAxis.
+// Degenerate axis and numeric flags are refused up front with
+// cliobs.ErrBadFlag (before any solve), and the binary exits 2 for them
+// instead of panicking in table.LogAxis or failing later.
 func TestRunRejectsDegenerateFlags(t *testing.T) {
 	type axes struct {
+		thickness, planeGap, planeT, tr    float64
 		wmin, wmax, smin, smax, lmin, lmax float64
-		nw, ns, nl                         int
+		nw, ns, nl, workers                int
 	}
 	cases := []struct {
 		flag, value string
@@ -172,14 +173,20 @@ func TestRunRejectsDegenerateFlags(t *testing.T) {
 		{"-smax", "0.1", func(a *axes) { a.smax = 0.1 }},
 		{"-lmax", "inf", func(a *axes) { a.lmax = math.Inf(1) }},
 		{"-lmin", "nan", func(a *axes) { a.lmin = math.NaN() }},
+		{"-tr", "0", func(a *axes) { a.tr = 0 }},
+		{"-thickness", "0", func(a *axes) { a.thickness = 0 }},
+		{"-planegap", "-1", func(a *axes) { a.planeGap = -1 }},
+		{"-planethickness", "0", func(a *axes) { a.planeT = 0 }},
+		{"-workers", "-1", func(a *axes) { a.workers = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "set.rlct")
-			a := axes{wmin: 1, wmax: 14, smin: 0.5, smax: 22, lmin: 50, lmax: 8000, nw: 5, ns: 6, nl: 8}
+			a := axes{thickness: 2, planeGap: 2, planeT: 1, tr: 50,
+				wmin: 1, wmax: 14, smin: 0.5, smax: 22, lmin: 50, lmax: 8000, nw: 5, ns: 6, nl: 8, workers: 1}
 			tc.set(&a)
-			err := run(context.Background(), out, "v3", "m6", 2, "cu", "coplanar", 2, 1,
-				50, a.wmin, a.wmax, a.nw, a.smin, a.smax, a.ns, a.lmin, a.lmax, a.nl, 1, "")
+			err := run(context.Background(), out, "v3", "m6", a.thickness, "cu", "coplanar", a.planeGap, a.planeT,
+				a.tr, a.wmin, a.wmax, a.nw, a.smin, a.smax, a.ns, a.lmin, a.lmax, a.nl, a.workers, "")
 			if !errors.Is(err, cliobs.ErrBadFlag) || !strings.Contains(err.Error(), tc.flag+" ") {
 				t.Fatalf("run = %v, want ErrBadFlag naming %s", err, tc.flag)
 			}

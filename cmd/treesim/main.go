@@ -106,6 +106,9 @@ func run(ctx context.Context, cfg config) error {
 	case cfg.samples < 0:
 		return fmt.Errorf("%w: -samples %d (want 0 or more)", cliobs.ErrBadFlag, cfg.samples)
 	}
+	if err := cliobs.CheckPositiveFlag("tr", cfg.tr); err != nil {
+		return err
+	}
 	var sh geom.Shielding
 	switch cfg.shield {
 	case "coplanar":

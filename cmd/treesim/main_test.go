@@ -74,6 +74,7 @@ func TestRunRejectsDegenerateFlags(t *testing.T) {
 		{"-samples", "-1", func(c *config) { c.samples = -1 }},
 		{"-shield", "bogus", func(c *config) { c.shield = "bogus" }},
 		{"-mode", "rlcc", func(c *config) { c.mode = "rlcc" }},
+		{"-tr", "0", func(c *config) { c.tr = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
@@ -88,10 +89,43 @@ func TestRunRejectsDegenerateFlags(t *testing.T) {
 			if code := cmd.ProcessState.ExitCode(); code != cliobs.ExitUsage {
 				t.Fatalf("exit code %d (%v), want %d; output:\n%s", code, err, cliobs.ExitUsage, out)
 			}
-			if !strings.Contains(string(out), "bad flag: "+tc.flag+" ") {
-				t.Errorf("stderr does not name %s:\n%s", tc.flag, out)
+			if !strings.Contains(string(out), "bad flag: "+tc.flag+" ") || strings.Contains(string(out), "panic:") {
+				t.Errorf("stderr does not name %s cleanly:\n%s", tc.flag, out)
 			}
 		})
+	}
+}
+
+// TestImbalancedTreeStatsMatchGolden pins the dedup-defeating tree's
+// %.17g stats bit for bit, in RC and RLC mode: every field before
+// wall_s= must equal testdata/imbalanced_stats.golden exactly.
+func TestImbalancedTreeStatsMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds tables and simulates a level-4 tree in a subprocess")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "imbalanced_stats.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(binary(t), "-levels", "4", "-imbalance-spread", "256").Output()
+	if err != nil {
+		t.Fatalf("treesim: %v", err)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "stats ") {
+			head, _, _ := strings.Cut(line, " wall_s=")
+			got = append(got, head)
+		}
+	}
+	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d stats lines, golden has %d; output:\n%s", len(got), len(wantLines), out)
+	}
+	for i := range wantLines {
+		if got[i] != wantLines[i] {
+			t.Errorf("stats line %d:\n got %s\nwant %s", i, got[i], wantLines[i])
+		}
 	}
 }
 

@@ -56,6 +56,10 @@ func run(ctx context.Context, length, pitch, wgnd, rdrv, cload, tr, wmin, wmax f
 	for _, err := range []error{
 		cliobs.CheckPositiveFlag("len", length),
 		cliobs.CheckAxisFlags("wmin", wmin, "wmax", wmax, "n", nCand),
+		cliobs.CheckPositiveFlag("tr", tr),
+		cliobs.CheckPositiveFlag("rdrv", rdrv),
+		cliobs.CheckPositiveFlag("cload", cload),
+		cliobs.CheckPositiveFlag("wgnd", wgnd),
 	} {
 		if err != nil {
 			return err

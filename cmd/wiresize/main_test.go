@@ -30,13 +30,13 @@ func TestRunRejectsFewCandidates(t *testing.T) {
 	}
 }
 
-// Degenerate axis flags are refused up front with cliobs.ErrBadFlag
-// (before any table build), and the binary exits 2 for them instead of
-// panicking in table.LogAxis.
+// Degenerate axis and numeric flags are refused up front with
+// cliobs.ErrBadFlag (before any table build), and the binary exits 2
+// for them instead of panicking in table.LogAxis or failing later.
 func TestRunRejectsDegenerateFlags(t *testing.T) {
 	type args struct {
-		length, pitch, wmin, wmax float64
-		n                         int
+		length, pitch, wgnd, rdrv, cload, tr, wmin, wmax float64
+		n                                                int
 	}
 	cases := []struct {
 		flag string
@@ -49,12 +49,16 @@ func TestRunRejectsDegenerateFlags(t *testing.T) {
 		{"-wmin", []string{"-wmin", "0"}, func(a *args) { a.wmin = 0 }},
 		{"-wmax", []string{"-wmin", "5", "-wmax", "2"}, func(a *args) { a.wmin, a.wmax = 5, 2 }},
 		{"-n", []string{"-n", "1"}, func(a *args) { a.n = 1 }},
+		{"-tr", []string{"-tr", "0"}, func(a *args) { a.tr = 0 }},
+		{"-rdrv", []string{"-rdrv", "0"}, func(a *args) { a.rdrv = 0 }},
+		{"-cload", []string{"-cload", "-5"}, func(a *args) { a.cload = -5 }},
+		{"-wgnd", []string{"-wgnd", "0"}, func(a *args) { a.wgnd = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.argv, "="), func(t *testing.T) {
-			a := args{length: 4000, pitch: 4, wmin: 0.7, wmax: 2.6, n: 7}
+			a := args{length: 4000, pitch: 4, wgnd: 2, rdrv: 30, cload: 40, tr: 50, wmin: 0.7, wmax: 2.6, n: 7}
 			tc.set(&a)
-			err := run(context.Background(), a.length, a.pitch, 2, 30, 40, 50, a.wmin, a.wmax, a.n, true)
+			err := run(context.Background(), a.length, a.pitch, a.wgnd, a.rdrv, a.cload, a.tr, a.wmin, a.wmax, a.n, true)
 			if !errors.Is(err, cliobs.ErrBadFlag) || !strings.Contains(err.Error(), tc.flag+" ") {
 				t.Fatalf("run = %v, want ErrBadFlag naming %s", err, tc.flag)
 			}

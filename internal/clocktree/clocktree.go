@@ -248,19 +248,14 @@ func (t *Tree) simulateStage(ctx context.Context, levelIdx int, stageID int64, o
 		}
 		nl.AddC("c"+s, s, netlist.Ground, t.Buffer.InputCap*loads[i])
 	}
-	res, err := sim.TransientCtx(ctx, nl, opts.TimeStep, opts.Horizon, sinks)
+	ds, err := sim.DelaysFromT0Ctx(ctx, nl, opts.TimeStep, opts.Horizon, sinks, 0, 1)
+	if errors.Is(err, sim.ErrNeverCrosses) {
+		return delays, fmt.Errorf("clocktree: stage %d never switches (horizon too short?): %w", stageID, err)
+	}
 	if err != nil {
 		return delays, fmt.Errorf("clocktree: stage %d (level %d): %w", stageID, levelIdx, err)
 	}
-	for i, s := range sinks {
-		v, err := res.Waveform(s)
-		if err != nil {
-			return delays, err
-		}
-		d, err := sim.DelayFromT0(res.Time, v, 0, 1)
-		if err != nil {
-			return delays, fmt.Errorf("clocktree: stage %d sink %s never switches (horizon too short?): %w", stageID, s, err)
-		}
+	for i, d := range ds {
 		// Remove the launch offset (the source starts one time step in).
 		delays[i] = d - opts.TimeStep
 	}

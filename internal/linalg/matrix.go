@@ -155,7 +155,13 @@ func (f *LU) CondEstimate() float64 {
 
 // Factor computes the LU factorization of square matrix a. The input
 // is not modified. It returns ErrSingular when a pivot underflows.
-func Factor(a *Matrix) (*LU, error) {
+func Factor(a *Matrix) (*LU, error) { return FactorInPlace(a.Clone()) }
+
+// FactorInPlace is Factor without the copy: the elimination overwrites
+// a with the packed factors and the returned LU shares a's storage, so
+// a must be neither read as the original matrix nor modified while the
+// LU is in use. It lets a caller factor into storage it reuses.
+func FactorInPlace(a *Matrix) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("linalg: Factor needs a square matrix, got %d×%d", a.Rows, a.Cols)
 	}
@@ -163,8 +169,7 @@ func Factor(a *Matrix) (*LU, error) {
 		return nil, err
 	}
 	n := a.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1, minPiv: math.Inf(1)}
-	copy(f.lu, a.Data)
+	f := &LU{n: n, lu: a.Data, piv: make([]int, n), sign: 1, minPiv: math.Inf(1)}
 	for i := range f.piv {
 		f.piv[i] = i
 	}

@@ -494,16 +494,11 @@ func CompareShields(ctx context.Context, e *core.Extractor) (*ShieldCompare, err
 			return 0, err
 		}
 		nl.AddC("cl", "out", netlist.Ground, SinkCap)
-		res, err := sim.TransientCtx(ctx, nl, 0.25e-12, 1000e-12, []string{"out"})
+		d, err := sim.DelaysFromT0Ctx(ctx, nl, 0.25e-12, 1000e-12, []string{"out"}, 0, Vdd)
 		if err != nil {
 			return 0, err
 		}
-		v, _ := res.Waveform("out")
-		d, err := sim.DelayFromT0(res.Time, v, 0, Vdd)
-		if err != nil {
-			return 0, err
-		}
-		return d - (10e-12 + RiseTime/2), nil
+		return d[0] - (10e-12 + RiseTime/2), nil
 	}
 	if out.DelayCPW, err = delay(seg); err != nil {
 		return nil, err

@@ -15,6 +15,7 @@ package repeater
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"clockrlc/internal/core"
@@ -99,16 +100,14 @@ func DelayWithN(ctx context.Context, e *core.Extractor, s Spec, n int) (Point, e
 	nl.AddC("cl", "out", netlist.Ground, s.Buffer.InputCap)
 	tau := (s.Buffer.DriveRes + rlc.R) * (rlc.C + s.Buffer.InputCap)
 	horizon := 12*tau + 6*s.Buffer.OutSlew
-	res, err := sim.TransientCtx(ctx, nl, s.Buffer.OutSlew/100, horizon, []string{"out"})
+	d, err := sim.DelaysFromT0Ctx(ctx, nl, s.Buffer.OutSlew/100, horizon, []string{"out"}, 0, 1)
+	if errors.Is(err, sim.ErrNeverCrosses) {
+		return Point{}, fmt.Errorf("repeater: n=%d stage never switches: %w", n, err)
+	}
 	if err != nil {
 		return Point{}, fmt.Errorf("repeater: n=%d: %w", n, err)
 	}
-	v, _ := res.Waveform("out")
-	d, err := sim.DelayFromT0(res.Time, v, 0, 1)
-	if err != nil {
-		return Point{}, fmt.Errorf("repeater: n=%d stage never switches: %w", n, err)
-	}
-	stage := d - (start + s.Buffer.OutSlew/2)
+	stage := d[0] - (start + s.Buffer.OutSlew/2)
 	return Point{
 		N:          n,
 		StageDelay: stage,

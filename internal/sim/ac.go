@@ -66,17 +66,14 @@ func ACCtx(ctx context.Context, nl *netlist.Netlist, freqs []float64, acMag map[
 			return nil, fmt.Errorf("sim: AC frequency %g must be positive", f)
 		}
 	}
-	m, err := assemble(nl)
+	d := densePool.Get().(*dense)
+	defer densePool.Put(d)
+	m, err := assemble(nl, d)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range probes {
-		if p == netlist.Ground || p == "gnd" {
-			continue
-		}
-		if _, ok := m.nodeIdx[p]; !ok {
-			return nil, fmt.Errorf("sim: unknown probe node %q", p)
-		}
+	if _, err := m.probeCols(probes); err != nil {
+		return nil, err
 	}
 	srcIdx := map[string]int{}
 	for k, v := range nl.VSources {

@@ -27,9 +27,13 @@ func checkDelay(what string, d float64) error {
 	return nil
 }
 
+// ErrNeverCrosses is returned when a waveform never reaches the level
+// asked for within the simulated horizon.
+var ErrNeverCrosses = errors.New("sim: waveform never crosses")
+
 // CrossTime returns the first time the waveform crosses level in the
 // given direction (rising: from below to at-or-above), using linear
-// interpolation between samples. It returns an error when the
+// interpolation between samples. It returns ErrNeverCrosses when the
 // waveform never crosses.
 func CrossTime(t, v []float64, level float64, rising bool) (float64, error) {
 	if len(t) != len(v) {
@@ -39,22 +43,33 @@ func CrossTime(t, v []float64, level float64, rising bool) (float64, error) {
 		return 0, errors.New("sim: CrossTime needs at least two samples")
 	}
 	for i := 1; i < len(t); i++ {
-		a, b := v[i-1], v[i]
-		var hit bool
-		if rising {
-			hit = a < level && b >= level
-		} else {
-			hit = a > level && b <= level
-		}
-		if hit {
-			if b == a {
-				return t[i], nil
-			}
-			f := (level - a) / (b - a)
-			return t[i-1] + f*(t[i]-t[i-1]), nil
+		if tc, ok := crossing(t[i-1], t[i], v[i-1], v[i], level, rising); ok {
+			return tc, nil
 		}
 	}
-	return 0, fmt.Errorf("sim: waveform never crosses %g", level)
+	return 0, fmt.Errorf("%w %g", ErrNeverCrosses, level)
+}
+
+// crossing reports whether the sample pair (t0, a) → (t1, b) crosses
+// level in the given direction and, if so, the linearly interpolated
+// crossing time. CrossTime and the streaming DelaysFromT0Ctx both call
+// it, so a streamed delay is bitwise equal to one measured on the
+// recorded waveform.
+func crossing(t0, t1, a, b, level float64, rising bool) (float64, bool) {
+	var hit bool
+	if rising {
+		hit = a < level && b >= level
+	} else {
+		hit = a > level && b <= level
+	}
+	if !hit {
+		return 0, false
+	}
+	if b == a {
+		return t1, true
+	}
+	f := (level - a) / (b - a)
+	return t0 + f*(t1-t0), true
 }
 
 // Delay50 returns the 50 %-swing delay from waveform "from" to

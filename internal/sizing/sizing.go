@@ -155,14 +155,9 @@ func stageDelay(ctx context.Context, rlc netlist.SegmentRLC, s Spec, sections in
 	// The horizon must cover slow RC corners of the sweep.
 	tau := (s.DriveRes + rlc.R) * (rlc.C + s.LoadCap)
 	horizon := 10*tau + 4*s.RiseTime + 20*math.Sqrt(rlc.L*(rlc.C+s.LoadCap))
-	res, err := sim.TransientCtx(ctx, nl, s.RiseTime/100, horizon, []string{"out"})
+	d, err := sim.DelaysFromT0Ctx(ctx, nl, s.RiseTime/100, horizon, []string{"out"}, 0, 1)
 	if err != nil {
 		return 0, err
 	}
-	v, _ := res.Waveform("out")
-	d, err := sim.DelayFromT0(res.Time, v, 0, 1)
-	if err != nil {
-		return 0, err
-	}
-	return d - (start + s.RiseTime/2), nil
+	return d[0] - (start + s.RiseTime/2), nil
 }
