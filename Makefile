@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: all tier1 vet build test race roundtrip chaos fuzz bench bench-obs bench-check serve loc clean
+.PHONY: all tier1 vet build test race roundtrip chaos fuzz perfbench bench serve loc clean
 
 all: tier1
 
 # tier1 is the repository's gating check: vet, build, full test suite
 # under the race detector, the persistence round-trip gate, the
-# fault-injection chaos matrix, and a short randomised fuzz pass over
-# the input gates. Performance is gated separately: `make bench-obs
-# bench-check` re-measures the BENCH_*.json hot-path numbers and fails
-# if any metric regresses >10% against the committed bench/baseline.
-tier1: vet build race roundtrip chaos fuzz
+# fault-injection chaos matrix, a short randomised fuzz pass over the
+# input gates, and the benchmark module's own vet and tests (it imports
+# internal/, so a change that breaks it fails here). Performance is
+# measured by `bash perfbench/run.sh` (BENCHMARK.json), which reports
+# each workload end to end and per layer; tier1 does not time anything.
+tier1: vet build race roundtrip chaos fuzz perfbench
 
 vet:
 	$(GO) vet ./...
@@ -63,22 +64,14 @@ fuzz:
 	$(GO) test -run '^FuzzGeometryValidate$$' -fuzz '^FuzzGeometryValidate$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^FuzzNewTree$$' -fuzz '^FuzzNewTree$$' -fuzztime $(FUZZTIME) ./internal/clocktree
 
+# perfbench vets and tests the benchmark module (perfbench/, its own Go
+# module built against this checkout) without running the benchmark.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # bench runs the full experiment benchmark suite (slow).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$'
-
-# bench-obs runs the short hot-path pass guarding the instrumentation
-# layer's no-overhead requirement and writes BENCH_obs.json plus the
-# spline-lookup/parallel-build numbers in BENCH_spline.json, the
-# cold-vs-cache-hit extractor construction numbers in BENCH_cache.json,
-# the fault/check-layer ratios, the ctx-span trace-overhead numbers in
-# BENCH_trace.json, the end-to-end daemon throughput/latency numbers in
-# BENCH_serve.json, the overload-resilience numbers (shed instead
-# of collapse at 4x admission capacity) in BENCH_overload.json, and
-# the crash-safe million-sink tree numbers (dedup ratio, peak RSS,
-# SIGKILL+resume drill) in BENCH_tree.json.
-bench-obs:
-	./scripts/bench.sh
 
 # serve runs the extraction daemon on ADDR (override: make serve
 # ADDR=:8650 CACHE=/var/cache/rlcx) with the content-addressed table
@@ -88,19 +81,13 @@ CACHE ?= .rlcx-cache
 serve:
 	$(GO) run ./cmd/rlcxd -addr $(ADDR) -cache $(CACHE)
 
-# bench-check is the regression gate: compares the freshly measured
-# BENCH_*.json files (run `make bench-obs` first) against the committed
-# baselines and fails when any metric drifts >10% the wrong way. After
-# an intentional perf change, refresh the baselines with:
-#   make bench-obs && cp BENCH_*.json bench/baseline/
-bench-check:
-	$(GO) run ./cmd/benchdiff -baseline bench/baseline -current .
-
 # loc prints the size metric ROADMAP tracks: non-test Go lines outside
 # the benchmark module (perfbench/) and its build directory.
 loc:
 	@find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git \) -prune \
 		-o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
+
+# clean removes the benchmark's build directory (perfbench/run.sh).
 clean:
-	rm -f BENCH_obs.json BENCH_spline.json BENCH_cache.json BENCH_fault.json BENCH_check.json BENCH_trace.json BENCH_mmap.json BENCH_serve.json BENCH_overload.json BENCH_tree.json
+	rm -rf .bench_build

@@ -66,8 +66,8 @@ func TestValidationSurface(t *testing.T) {
 
 	// A strict-policy load rejects the corrupted file with the named
 	// error; parse helpers round-trip the flag spellings.
-	path := filepath.Join(t.TempDir(), "set.json")
-	if err := set.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "set.rlct")
+	if err := set.SaveFileV3(path); err != nil {
 		t.Fatal(err)
 	}
 	p, err := clockrlc.ParseCheckPolicy("strict")

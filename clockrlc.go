@@ -173,7 +173,8 @@ func BuildTablesCtx(ctx context.Context, cfg TableConfig, axes TableAxes) (*Tabl
 	return table.BuildCtx(ctx, cfg, axes, nil)
 }
 
-// LoadTables reads a table set saved with TableSet.SaveFile.
+// LoadTables reads a table set saved with TableSet.SaveFileV3 (or a
+// legacy v1/v2 JSON record).
 func LoadTables(path string) (*TableSet, error) { return table.LoadFile(path) }
 
 // DefaultAxes is a sensible clocktree sweep range.

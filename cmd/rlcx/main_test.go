@@ -36,8 +36,8 @@ func TestRunWithPrebuiltTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "set.json")
-	if err := set.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "set.rlct")
+	if err := set.SaveFileV3(path); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), 2000, 8, 4, 1, "coplanar", 2, 2, 50, path, "", true, 4, "extrapolate"); err != nil {
@@ -79,8 +79,8 @@ func TestRunCorruptTableStrictVsWarn(t *testing.T) {
 	// audit can catch it.
 	nw, ns, nl := len(axes.Widths), len(axes.Spacings), len(axes.Lengths)
 	set.Mutual.Vals[((1*nw+1)*ns+0)*nl+1] = 100 * set.Self.Vals[1*nl+1]
-	path := filepath.Join(t.TempDir(), "set.json")
-	if err := set.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "set.rlct")
+	if err := set.SaveFileV3(path); err != nil {
 		t.Fatal(err)
 	}
 

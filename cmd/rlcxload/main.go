@@ -1,10 +1,11 @@
 // Command rlcxload drives an rlcxd daemon with concurrent batch
 // extraction requests and reports throughput and latency percentiles
-// as JSON — the serve-mode benchmark harness, a cold-cache coalescing
-// probe (every worker's first request misses the same table keys; the
-// daemon must run one solver sweep per unique key), and the overload
-// probe (drive it past -max-inflight and the daemon must shed with
-// 429 instead of collapsing).
+// as JSON — a load generator for a running daemon (the repository's
+// benchmark is perfbench/, which serves in process), a cold-cache
+// coalescing probe (every worker's first request misses the same table
+// keys; the daemon must run one solver sweep per unique key), and an
+// overload probe (drive it past -max-inflight and the daemon must shed
+// with 429 instead of collapsing).
 //
 // Shed (429) and unavailable (503) responses are retried with
 // capped-exponential backoff and deterministic jitter, honoring the
@@ -63,12 +64,10 @@ type batchJSON struct {
 	Segments   []segmentJSON `json:"segments"`
 }
 
-// report is the emitted measurement; the serve and overload bench
-// passes commit these fields to BENCH_serve.json/BENCH_overload.json.
-// Percentiles and throughput cover admitted (2xx) requests only:
-// folding shed or failed requests into latency numbers would reward a
-// daemon for failing fast. Sheds/retries/timeouts describe the load
-// shape, not the code, and are skipped by benchdiff.
+// report is the emitted measurement. Percentiles and throughput cover
+// admitted (2xx) requests only: folding shed or failed requests into
+// latency numbers would reward a daemon for failing fast.
+// Sheds/retries/timeouts describe the load shape, not the code.
 type report struct {
 	Requests       int              `json:"requests"`
 	Concurrency    int              `json:"concurrency"`

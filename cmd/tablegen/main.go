@@ -1,8 +1,7 @@
 // Command tablegen precomputes an inductance table set (Section III of
 // the paper) for a layer and shielding configuration and writes it for
-// later use by rlcx/treesim or the library — by default in the v3
-// binary codec, which LoadFile mmaps instead of parsing; -format v2
-// selects the JSON codec instead.
+// later use by rlcx/treesim or the library, in the v3 binary codec,
+// which LoadFile mmaps instead of parsing.
 //
 // Example:
 //
@@ -13,11 +12,12 @@
 // All geometric flags are in microns; -tr is the minimum signal rise
 // time in picoseconds (the extraction runs at 0.32/tr).
 //
-// The migrate subcommand converts existing artifacts between codecs
-// without re-solving anything — values migrate bit-identically:
+// The migrate subcommand rewrites existing artifacts of any codec
+// (legacy v1/v2 JSON included) as v3 without re-solving anything —
+// values migrate bit-identically:
 //
-//	tablegen migrate m6_cpw.json m6_cpw.rlct     # one file
-//	tablegen migrate -format v3 libdir newlibdir # a whole library
+//	tablegen migrate m6_cpw.json m6_cpw.rlct # one file
+//	tablegen migrate libdir newlibdir        # a whole library
 package main
 
 import (
@@ -44,7 +44,6 @@ func main() {
 	obsFlags := cliobs.AddFlags(flag.CommandLine)
 	var (
 		out       = flag.String("out", "tables.rlct", "output file")
-		format    = flag.String("format", "v3", "output codec: v3 (mmap-able binary) or v2 (JSON)")
 		name      = flag.String("name", "layer", "table set name")
 		thickness = flag.Float64("thickness", 2, "layer metal thickness (µm)")
 		rhoName   = flag.String("rho", "cu", "metal: cu or al, or a resistivity in Ω·m")
@@ -72,7 +71,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tablegen:", err)
 		os.Exit(cliobs.ExitFailure)
 	}
-	err = run(sess.Context(sd.Context()), *out, *format, *name, *thickness, *rhoName, *shield, *planeGap, *planeT,
+	err = run(sess.Context(sd.Context()), *out, *name, *thickness, *rhoName, *shield, *planeGap, *planeT,
 		*tr, *wmin, *wmax, *nw, *smin, *smax, *ns, *lmin, *lmax, *nl, *workers, *cacheDir)
 	sess.Close()
 	sd.Stop()
@@ -82,36 +81,25 @@ func main() {
 	}
 }
 
-// mainMigrate implements `tablegen migrate [-format v2|v3] src dst`:
-// codec conversion of an existing artifact (file mode) or a whole
-// library directory (dir mode), bit-identical and without a single
-// field-solver call.
+// mainMigrate implements `tablegen migrate src dst`: conversion of an
+// existing artifact (file mode) or a whole library directory (dir
+// mode) to v3, bit-identical and without a single field-solver call.
 func mainMigrate(argv []string) {
-	fs := flag.NewFlagSet("tablegen migrate", flag.ExitOnError)
-	format := fs.String("format", "v3", "target codec: v3 (mmap-able binary) or v2 (JSON)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: tablegen migrate [-format v2|v3] src dst")
+	if len(argv) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: tablegen migrate src dst")
 		fmt.Fprintln(os.Stderr, "  src: a table file (any codec) or a library directory")
-		fs.PrintDefaults()
-	}
-	_ = fs.Parse(argv)
-	if fs.NArg() != 2 {
-		fs.Usage()
 		os.Exit(cliobs.ExitFailure)
 	}
-	if err := migrate(fs.Arg(0), fs.Arg(1), *format); err != nil {
+	if err := migrate(argv[0], argv[1]); err != nil {
 		fmt.Fprintln(os.Stderr, "tablegen:", err)
 		os.Exit(cliobs.ExitFailure)
 	}
 }
 
 // migrate loads src (sniffing the codec per file) and rewrites it at
-// dst in the requested format. Directory sources migrate every table
-// file into the dst directory under the library's file-name scheme.
-func migrate(src, dst, format string) error {
-	if format != "v2" && format != "v3" {
-		return fmt.Errorf("bad -format %q (want v2 or v3)", format)
-	}
+// dst as v3. Directory sources migrate every table file into the dst
+// directory under the library's file-name scheme.
+func migrate(src, dst string) error {
 	fi, err := os.Stat(src)
 	if err != nil {
 		return err
@@ -121,15 +109,10 @@ func migrate(src, dst, format string) error {
 		if err != nil {
 			return err
 		}
-		if format == "v3" {
-			err = lib.SaveDirV3(dst)
-		} else {
-			err = lib.SaveDir(dst)
-		}
-		if err != nil {
+		if err := lib.SaveDirV3(dst); err != nil {
 			return err
 		}
-		fmt.Printf("migrated %d table set(s) from %s to %s (%s)\n", lib.Len(), src, dst, format)
+		fmt.Printf("migrated %d table set(s) from %s to %s\n", lib.Len(), src, dst)
 		return nil
 	}
 	s, err := table.LoadFile(src)
@@ -137,24 +120,16 @@ func migrate(src, dst, format string) error {
 		return err
 	}
 	defer s.Close()
-	if format == "v3" {
-		err = s.SaveFileV3(dst)
-	} else {
-		err = s.SaveFile(dst)
-	}
-	if err != nil {
+	if err := s.SaveFileV3(dst); err != nil {
 		return err
 	}
-	fmt.Printf("migrated %s to %s (%s)\n", src, dst, format)
+	fmt.Printf("migrated %s to %s\n", src, dst)
 	return nil
 }
 
-func run(ctx context.Context, out, format, name string, thickness float64, rhoName, shield string,
+func run(ctx context.Context, out, name string, thickness float64, rhoName, shield string,
 	planeGap, planeT, tr, wmin, wmax float64, nw int, smin, smax float64,
 	ns int, lmin, lmax float64, nl, workers int, cacheDir string) error {
-	if format != "v2" && format != "v3" {
-		return fmt.Errorf("bad -format %q (want v2 or v3)", format)
-	}
 	for _, err := range []error{
 		cliobs.CheckAxisFlags("wmin", wmin, "wmax", wmax, "nw", nw),
 		cliobs.CheckAxisFlags("smin", smin, "smax", smax, "ns", ns),
@@ -268,12 +243,7 @@ func run(ctx context.Context, out, format, name string, thickness float64, rhoNa
 	if err != nil {
 		return err
 	}
-	if format == "v3" {
-		err = set.SaveFileV3(out)
-	} else {
-		err = set.SaveFile(out)
-	}
-	if err != nil {
+	if err := set.SaveFileV3(out); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s in %v\n", out, time.Since(start).Round(time.Millisecond))

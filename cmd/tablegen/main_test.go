@@ -20,8 +20,8 @@ import (
 )
 
 func TestRunBuildsLoadableTables(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "set.json")
-	err := run(context.Background(), out, "v3", "m6", 2, "cu", "coplanar", 2, 1,
+	out := filepath.Join(t.TempDir(), "set.rlct")
+	err := run(context.Background(), out, "m6", 2, "cu", "coplanar", 2, 1,
 		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 2, "")
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +43,8 @@ func TestRunBuildsLoadableTables(t *testing.T) {
 // lossy codec change (float formatting, reordered values, dropped
 // config) fails here before it can poison a production library.
 func TestRoundTripBitForBit(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "set.json")
-	if err := run(context.Background(), out, "v2", "m6", 2, "cu", "coplanar", 2, 1,
+	out := filepath.Join(t.TempDir(), "set.rlct")
+	if err := run(context.Background(), out, "m6", 2, "cu", "coplanar", 2, 1,
 		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 2, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -106,25 +106,25 @@ func TestRunCacheHitSkipsSolves(t *testing.T) {
 	dir := t.TempDir()
 	cacheDir := filepath.Join(dir, "cache")
 	args := func(out string) error {
-		return run(context.Background(), out, "v3", "m6", 2, "cu", "coplanar", 2, 1,
+		return run(context.Background(), out, "m6", 2, "cu", "coplanar", 2, 1,
 			50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 1, cacheDir)
 	}
-	if err := args(filepath.Join(dir, "a.json")); err != nil {
+	if err := args(filepath.Join(dir, "a.rlct")); err != nil {
 		t.Fatal(err)
 	}
 	solves := obs.GetCounter("table.solver_calls")
 	solves0 := solves.Value()
-	if err := args(filepath.Join(dir, "b.json")); err != nil {
+	if err := args(filepath.Join(dir, "b.rlct")); err != nil {
 		t.Fatal(err)
 	}
 	if got := solves.Value() - solves0; got != 0 {
 		t.Errorf("cached rerun performed %d solver calls, want 0", got)
 	}
-	a, err := table.LoadFile(filepath.Join(dir, "a.json"))
+	a, err := table.LoadFile(filepath.Join(dir, "a.rlct"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := table.LoadFile(filepath.Join(dir, "b.json"))
+	b, err := table.LoadFile(filepath.Join(dir, "b.rlct"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,18 +136,14 @@ func TestRunCacheHitSkipsSolves(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "set.json")
-	if err := run(context.Background(), out, "v3", "m6", 2, "unobtainium", "coplanar", 2, 1,
+	out := filepath.Join(t.TempDir(), "set.rlct")
+	if err := run(context.Background(), out, "m6", 2, "unobtainium", "coplanar", 2, 1,
 		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 1, ""); err == nil {
 		t.Error("accepted unknown metal")
 	}
-	if err := run(context.Background(), out, "v3", "m6", 2, "cu", "waveguide", 2, 1,
+	if err := run(context.Background(), out, "m6", 2, "cu", "waveguide", 2, 1,
 		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 1, ""); err == nil {
 		t.Error("accepted unknown shielding")
-	}
-	if err := run(context.Background(), out, "v7", "m6", 2, "cu", "coplanar", 2, 1,
-		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 1, ""); err == nil {
-		t.Error("accepted unknown format")
 	}
 }
 
@@ -185,7 +181,7 @@ func TestRunRejectsDegenerateFlags(t *testing.T) {
 			a := axes{thickness: 2, planeGap: 2, planeT: 1, tr: 50,
 				wmin: 1, wmax: 14, smin: 0.5, smax: 22, lmin: 50, lmax: 8000, nw: 5, ns: 6, nl: 8, workers: 1}
 			tc.set(&a)
-			err := run(context.Background(), out, "v3", "m6", a.thickness, "cu", "coplanar", a.planeGap, a.planeT,
+			err := run(context.Background(), out, "m6", a.thickness, "cu", "coplanar", a.planeGap, a.planeT,
 				a.tr, a.wmin, a.wmax, a.nw, a.smin, a.smax, a.ns, a.lmin, a.lmax, a.nl, a.workers, "")
 			if !errors.Is(err, cliobs.ErrBadFlag) || !strings.Contains(err.Error(), tc.flag+" ") {
 				t.Fatalf("run = %v, want ErrBadFlag naming %s", err, tc.flag)
@@ -229,90 +225,124 @@ func binary(t *testing.T) string {
 	return buildPath
 }
 
-// TestMigrateFileBitIdentical: `tablegen migrate` converts a v2 JSON
-// artifact to the v3 binary codec (and back) without perturbing a
-// single value bit.
-func TestMigrateFileBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	v2 := filepath.Join(dir, "set.json")
-	if err := run(context.Background(), v2, "v2", "m6", 2, "cu", "coplanar", 2, 1,
-		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 2, ""); err != nil {
-		t.Fatal(err)
-	}
-	v3 := filepath.Join(dir, "set.rlct")
-	if err := migrate(v2, v3, "v3"); err != nil {
-		t.Fatal(err)
-	}
-	back := filepath.Join(dir, "back.json")
-	if err := migrate(v3, back, "v2"); err != nil {
-		t.Fatal(err)
-	}
-	orig, err := table.LoadFile(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{v3, back} {
-		got, err := table.LoadFile(path)
-		if err != nil {
-			t.Fatal(err)
+// legacyFixtures are the table package's committed v1 and v2 JSON
+// records, written by the JSON codec before it was retired.
+var legacyFixtures = []string{
+	filepath.Join("..", "..", "internal", "table", "testdata", "v1.json"),
+	filepath.Join("..", "..", "internal", "table", "testdata", "v2.json"),
+}
+
+// sameValues fails unless got holds want's values bit for bit and
+// interpolates identically off grid.
+func sameValues(t *testing.T, label string, want, got *table.Set) {
+	t.Helper()
+	for name, pair := range map[string][2][]float64{
+		"self":   {want.Self.Vals, got.Self.Vals},
+		"mutual": {want.Mutual.Vals, got.Mutual.Vals},
+	} {
+		w, g := pair[0], pair[1]
+		if len(w) != len(g) {
+			t.Fatalf("%s: %s count %d != %d", label, name, len(g), len(w))
 		}
-		for k, v := range orig.Self.Vals {
-			if got.Self.Vals[k] != v {
-				t.Fatalf("%s: self[%d] drifted: %g != %g", path, k, got.Self.Vals[k], v)
+		for k := range w {
+			if math.Float64bits(g[k]) != math.Float64bits(w[k]) {
+				t.Fatalf("%s: %s[%d] drifted: %g != %g", label, name, k, g[k], w[k])
 			}
 		}
-		for k, v := range orig.Mutual.Vals {
-			if got.Mutual.Vals[k] != v {
-				t.Fatalf("%s: mutual[%d] drifted: %g != %g", path, k, got.Mutual.Vals[k], v)
-			}
-		}
-		a, err1 := orig.SelfL(units.Um(1.7), units.Um(430))
-		b, err2 := got.SelfL(units.Um(1.7), units.Um(430))
-		if err1 != nil || err2 != nil || a != b {
-			t.Fatalf("%s: off-grid lookup drifted: %g vs %g (%v, %v)", path, a, b, err1, err2)
-		}
-		got.Close()
 	}
-	if err := migrate(v2, v3, "v9"); err == nil {
-		t.Error("accepted unknown target format")
+	w, l := want.Axes.Widths[0]*1.3, want.Axes.Lengths[0]*1.7
+	a, err1 := want.SelfL(w, l)
+	b, err2 := got.SelfL(w, l)
+	if err1 != nil || err2 != nil || math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("%s: off-grid lookup drifted: %g vs %g (%v, %v)", label, a, b, err1, err2)
 	}
 }
 
-// TestMigrateDir: directory mode converts a whole library in one call.
+// TestMigrateFileBitIdentical: `tablegen migrate` converts a legacy
+// v1 or v2 JSON artifact to the v3 binary codec without perturbing a
+// single value bit, and re-migrating the v3 file reproduces its bytes.
+func TestMigrateFileBitIdentical(t *testing.T) {
+	dir := t.TempDir()
+	for i, src := range legacyFixtures {
+		orig, err := table.LoadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v3 := filepath.Join(dir, fmt.Sprintf("set%d.rlct", i))
+		if err := migrate(src, v3); err != nil {
+			t.Fatal(err)
+		}
+		got, err := table.LoadFile(v3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameValues(t, src, orig, got)
+		got.Close()
+
+		again := filepath.Join(dir, fmt.Sprintf("again%d.rlct", i))
+		if err := migrate(v3, again); err != nil {
+			t.Fatal(err)
+		}
+		a, errA := os.ReadFile(v3)
+		b, errB := os.ReadFile(again)
+		if errA != nil || errB != nil || string(a) != string(b) {
+			t.Errorf("%s: re-migrating the v3 file changed its bytes (%v, %v)", src, errA, errB)
+		}
+	}
+}
+
+// TestMigrateDir: directory mode converts a whole library, legacy
+// JSON and v3 sets side by side, in one call.
 func TestMigrateDir(t *testing.T) {
 	dir := t.TempDir()
-	v2 := filepath.Join(dir, "set.json")
-	if err := run(context.Background(), v2, "v2", "m6", 2, "cu", "coplanar", 2, 1,
+	srcDir := filepath.Join(dir, "lib")
+	if err := os.Mkdir(srcDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), filepath.Join(srcDir, "m6.rlct"), "m6", 2, "cu", "coplanar", 2, 1,
 		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 2, ""); err != nil {
 		t.Fatal(err)
 	}
-	srcDir := filepath.Join(dir, "lib")
-	set, err := table.LoadFile(v2)
+	legacy, err := os.ReadFile(legacyFixtures[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib := table.NewLibrary()
-	if err := lib.Add(set); err != nil {
+	if err := os.WriteFile(filepath.Join(srcDir, "synthetic.json"), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.SaveDir(srcDir); err != nil {
+	src, err := table.LoadDir(srcDir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	dstDir := filepath.Join(dir, "lib3")
-	if err := migrate(srcDir, dstDir, "v3"); err != nil {
+	if err := migrate(srcDir, dstDir); err != nil {
 		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dstDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != ".rlct" {
+			t.Errorf("migrated library holds %s, want only .rlct files", e.Name())
+		}
 	}
 	migrated, err := table.LoadDir(dstDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := migrated.Get("m6/coplanar")
-	if err != nil {
-		t.Fatal(err)
+	if migrated.Len() != 2 {
+		t.Fatalf("migrated %d sets, want 2 (%v)", migrated.Len(), migrated.Names())
 	}
-	for k, v := range set.Self.Vals {
-		if got.Self.Vals[k] != v {
-			t.Fatalf("self[%d] drifted through dir migration: %g != %g", k, got.Self.Vals[k], v)
+	for _, name := range src.Names() {
+		want, err := src.Get(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := migrated.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameValues(t, name, want, got)
 	}
 }

@@ -14,8 +14,9 @@
 //
 //   - Off:    every check site is a single atomic pointer load and a
 //     nil branch (the same disarmed-hook design as internal/fault), so
-//     the lookup hot path costs nothing measurable; see
-//     BENCH_check.json.
+//     the lookup hot path costs nothing measurable;
+//     BenchmarkE10TableLookupChecked in the root package prices the
+//     armed checks against BenchmarkE10TableLookup.
 //   - Warn:   violations are counted (check.violations and
 //     check.violations.<stage>) and execution continues.
 //   - Strict: the first violation is returned as a named error

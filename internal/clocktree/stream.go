@@ -91,19 +91,6 @@ func (s *ArrivalStats) Mean() float64 {
 	return s.Sum / float64(s.Leaves)
 }
 
-// Std returns the population standard deviation of the arrivals.
-func (s *ArrivalStats) Std() float64 {
-	if s.Leaves == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.SumSq/float64(s.Leaves) - m*m
-	if v < 0 {
-		v = 0 // guard the subtraction's rounding
-	}
-	return math.Sqrt(v)
-}
-
 // SkewReport reduces the stats to the named-extremes skew report.
 func (s *ArrivalStats) SkewReport() SkewReport {
 	return SkewReport{

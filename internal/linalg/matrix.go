@@ -77,13 +77,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Zero resets every element to 0 in place.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // MulVec computes y = m·x. The receiver must be Rows×Cols with
 // len(x) == Cols; the result has length Rows.
 func (m *Matrix) MulVec(x []float64) []float64 {

@@ -89,12 +89,3 @@ func SelfRuehli(l, w, t float64) float64 {
 	return units.Mu0 * l / (2 * math.Pi) *
 		(math.Log(2*l/u) + 0.5 + 0.2235*u/l)
 }
-
-// MutualGMD approximates the mutual partial inductance of two parallel
-// equal-length aligned bars whose centre lines are a distance d apart
-// by the filament formula at the centre distance. For spacings larger
-// than about one conductor width this is accurate to a few per cent;
-// the exact value is HoerLoveMutual.
-func MutualGMD(l, d float64) float64 {
-	return MutualFilamentsAligned(l, d)
-}

@@ -96,6 +96,93 @@ func TestShedAtCapacity(t *testing.T) {
 	}
 }
 
+// Overload: driven at 4× its admission capacity (4 slots, queue 4,
+// a short queue wait) with heavy 1024-segment batches, the daemon
+// sheds instead of failing — every answer is 200, or 429 with
+// Retry-After; every 429 lands on serve.shed; nothing answers 5xx and
+// no handler panics.
+func TestOverloadShedsNeverFails(t *testing.T) {
+	s, err := New(Config{
+		Tech: testTech(), Axes: testAxes(),
+		DefaultCheck: check.Warn, DefaultLookup: table.LookupError,
+		MaxInFlight: 4, QueueDepth: 4, QueueWait: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Warm the registry so the volley exercises serving, not the cold
+	// builds.
+	base := testSegments()
+	if status, body := postJSON(t, ts, "/v1/batch", BatchRequest{RiseTimePs: 50, Segments: base}); status != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %s", status, body)
+	}
+	segs := make([]SegmentRequest, 1024)
+	for i := range segs {
+		segs[i] = base[i%len(base)]
+		segs[i].LengthUm = 200 + 40*float64(i%16)
+	}
+	body, err := json.Marshal(BatchRequest{RiseTimePs: 50, Segments: segs})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const clients, perClient = 16, 8
+	shed0, panics0 := srvShed.Value(), srvPanics.Value()
+	var (
+		mu       sync.Mutex
+		statuses = map[int]int{}
+		wg       sync.WaitGroup
+	)
+	start := make(chan struct{})
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < perClient; i++ {
+				resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
+					t.Error("429 without Retry-After")
+				}
+				mu.Lock()
+				statuses[resp.StatusCode]++
+				mu.Unlock()
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	for code, n := range statuses {
+		if code != http.StatusOK && code != http.StatusTooManyRequests {
+			t.Errorf("%d responses answered %d, want only 200 or 429", n, code)
+		}
+	}
+	if statuses[http.StatusOK] == 0 {
+		t.Error("nothing was admitted")
+	}
+	if statuses[http.StatusTooManyRequests] == 0 {
+		t.Error("4x the admission capacity shed nothing: admission control is inert")
+	}
+	if d := srvShed.Value() - shed0; d != int64(statuses[http.StatusTooManyRequests]) {
+		t.Errorf("serve.shed delta = %d, want one per 429 (%d)", d, statuses[http.StatusTooManyRequests])
+	}
+	if d := srvPanics.Value() - panics0; d != 0 {
+		t.Errorf("serve.panics delta = %d under overload, want 0", d)
+	}
+	t.Logf("statuses %v", statuses)
+}
+
 // The serve.admit fault point sheds deterministically without
 // consuming capacity.
 func TestInjectedAdmitShed(t *testing.T) {

@@ -170,9 +170,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // listener still accepts probes.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Handler returns the service's HTTP handler: /v1/extract, /v1/batch,
 // /healthz, /metrics (Prometheus text), /debug/vars and
 // /debug/pprof/*.

@@ -212,8 +212,8 @@ func TestCorruptCachedTableStrictVsWarn(t *testing.T) {
 	nw, ns, nl := len(s.Axes.Widths), len(s.Axes.Spacings), len(s.Axes.Lengths)
 	i := 2
 	s.Mutual.Vals[((i*nw+i)*ns+1)*nl+0] = 2 * s.Self.Vals[i*nl+0]
-	path := filepath.Join(t.TempDir(), "m6-synthetic.json")
-	if err := s.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "m6-synthetic.rlct")
+	if err := s.SaveFileV3(path); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,14 +10,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"clockrlc/internal/check"
 	"clockrlc/internal/spline"
 )
 
-// fileFormat is the on-disk JSON schema of a table set. Only the
-// axes and raw values are stored; splines are rebuilt at load time.
+// fileFormat is the legacy JSON schema of a table set. Only the axes
+// and raw values are stored; splines are rebuilt at load time.
 //
 // Version history:
 //
@@ -26,9 +25,10 @@ import (
 //	     checksum field empty) so torn or bit-rotted files are caught
 //	     at load instead of poisoning a lookup.
 //
-// Loads accept v1 (the migration path for pre-existing artifacts) and
-// v2; saves always write the current version. Versions newer than
-// this build are rejected rather than guessed at.
+// Nothing writes JSON any more (SaveV3 and SaveFileV3 write the v3
+// binary codec); loads still accept v1 and v2 so existing artifacts
+// keep working and `tablegen migrate` can convert them. Versions newer
+// than v2 in a JSON record are rejected rather than guessed at.
 type fileFormat struct {
 	Version    int       `json:"version"`
 	Config     Config    `json:"config"`
@@ -39,7 +39,7 @@ type fileFormat struct {
 }
 
 const (
-	formatVersion   = 2
+	maxJSONVersion  = 2
 	minReadVersion  = 1
 	checksumVersion = 2 // first version carrying a checksum
 )
@@ -58,59 +58,6 @@ func (ff fileFormat) checksum() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Save writes the set as JSON in the current format version,
-// including the integrity checksum.
-func (s *Set) Save(w io.Writer) error {
-	ff := fileFormat{
-		Version:    formatVersion,
-		Config:     s.Config,
-		Axes:       s.Axes,
-		SelfVals:   s.Self.Vals,
-		MutualVals: s.Mutual.Vals,
-	}
-	sum, err := ff.checksum()
-	if err != nil {
-		return fmt.Errorf("table: %w", err)
-	}
-	ff.Checksum = sum
-	enc := json.NewEncoder(w)
-	return enc.Encode(ff)
-}
-
-// SaveFile writes the set to a file path atomically: the record is
-// written to a temporary file in the same directory, fsynced, and
-// renamed over the destination, so a crash mid-save can never leave a
-// truncated file under the final name. The directory is fsynced after
-// the rename so the new name itself survives a crash.
-func (s *Set) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("table: save %s: %w", path, err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op once renamed
-	if err := s.Save(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("table: save %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("table: save %s: sync: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("table: save %s: close: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("table: save %s: %w", path, err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() // best effort; the data itself is already durable
-		d.Close()
-	}
-	return nil
-}
-
 // load decodes and validates a record, sniffing the v3 binary magic
 // to route between the codecs (a JSON document can never begin with
 // 'R'); errors carry no "table:" prefix so Load and LoadFile can each
@@ -126,7 +73,7 @@ func load(r io.Reader) (*Set, error) {
 		// v3Floats copies any block the buffer leaves unaligned, so an
 		// arbitrary reader is fine here; the zero-copy fast path is
 		// LoadFile's.
-		return loadV3(data, nil)
+		return decodeV3(data, nil)
 	}
 	return loadJSON(br)
 }
@@ -139,9 +86,9 @@ func loadJSON(r io.Reader) (*Set, error) {
 	}
 	switch {
 	case ff.Version < minReadVersion:
-		return nil, fmt.Errorf("bad format version %d (want %d–%d)", ff.Version, minReadVersion, formatVersion)
-	case ff.Version > formatVersion:
-		return nil, fmt.Errorf("format version %d is newer than this build reads (max %d); rebuild the tables or upgrade", ff.Version, formatVersion)
+		return nil, fmt.Errorf("bad format version %d (want %d–%d)", ff.Version, minReadVersion, maxJSONVersion)
+	case ff.Version > maxJSONVersion:
+		return nil, fmt.Errorf("format version %d is newer than this build reads (max %d); rebuild the tables or upgrade", ff.Version, maxJSONVersion)
 	}
 	if ff.Version >= checksumVersion {
 		if ff.Checksum == "" {
@@ -179,12 +126,12 @@ func loadJSON(r io.Reader) (*Set, error) {
 	return &Set{Config: ff.Config, Axes: ff.Axes, Self: selfGrid, Mutual: mutGrid}, nil
 }
 
-// Load reads a set previously written by Save, verifying the
-// checksum (v2+) and the value counts against the axes product, and
-// rebuilding the interpolants. When the process check engine is
-// armed, the loaded set is additionally audited against the physical
-// invariants — the checksum proves the bytes are the ones saved, the
-// audit proves the values could have come from a correct build.
+// Load reads a set written by SaveV3 or a legacy v1/v2 JSON writer,
+// verifying the checksum (v2 and v3) and the value counts against the
+// axes product. When the process check engine is armed, the loaded
+// set is additionally audited against the physical invariants — the
+// checksum proves the bytes are the ones saved, the audit proves the
+// values could have come from a correct build.
 func Load(r io.Reader) (*Set, error) {
 	s, err := load(r)
 	if err != nil {

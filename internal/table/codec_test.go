@@ -25,8 +25,8 @@ func codecTestSet(t *testing.T) *Set {
 // saveToFile writes the set and returns the path and raw bytes.
 func saveToFile(t *testing.T, set *Set) (string, []byte) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "set.json")
-	if err := set.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "set.rlct")
+	if err := set.SaveFileV3(path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -36,8 +36,20 @@ func saveToFile(t *testing.T, set *Set) (string, []byte) {
 	return path, raw
 }
 
+// legacyFixture returns the raw bytes of a committed JSON record
+// (testdata/v1.json, testdata/v2.json: syntheticSet as the last JSON
+// writer saved it, before the writer was retired).
+func legacyFixture(tb testing.TB, name string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
 // A crash mid-save must never leave a truncated record under the
-// final name: SaveFile goes through a temp file + rename, so a
+// final name: SaveFileV3 goes through a temp file + rename, so a
 // pre-existing good file survives a failed overwrite and no lookup
 // ever sees half a sweep.
 func TestSaveFileIsAtomic(t *testing.T) {
@@ -56,7 +68,7 @@ func TestSaveFileIsAtomic(t *testing.T) {
 	}
 
 	// Overwriting in place keeps the record loadable and identical.
-	if err := set.SaveFile(path); err != nil {
+	if err := set.SaveFileV3(path); err != nil {
 		t.Fatal(err)
 	}
 	raw2, err := os.ReadFile(path)
@@ -66,18 +78,21 @@ func TestSaveFileIsAtomic(t *testing.T) {
 	if !bytes.Equal(raw, raw2) {
 		t.Error("re-save of the same set produced different bytes")
 	}
-	if _, err := LoadFile(path); err != nil {
+	back, err := LoadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	back.Close()
 }
 
-// The torn-write regression: a file truncated mid-record (what the
-// old non-atomic Save left after a crash) must fail loudly with an
-// error naming the file — not poison the library or panic a spline.
+// The torn-write regression: a JSON file truncated mid-record (what
+// the old non-atomic JSON save left after a crash) must fail loudly
+// with an error naming the file — not poison the library or panic a
+// spline.
 func TestLoadRejectsTornWrite(t *testing.T) {
-	set := codecTestSet(t)
-	path, raw := saveToFile(t, set)
-	torn := filepath.Join(filepath.Dir(path), "torn.json")
+	raw := legacyFixture(t, "v2.json")
+	dir := t.TempDir()
+	torn := filepath.Join(dir, "torn.json")
 	if err := os.WriteFile(torn, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -90,23 +105,22 @@ func TestLoadRejectsTornWrite(t *testing.T) {
 	}
 	// A torn file in a library directory fails LoadDir with the same
 	// identification instead of a silent partial library.
-	if err := set.SaveFile(filepath.Join(filepath.Dir(path), "good2.json")); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "good2.json"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDir(filepath.Dir(path)); err == nil {
+	if _, err := LoadDir(dir); err == nil {
 		t.Error("LoadDir accepted a directory with a torn record")
 	}
 }
 
 func TestLoadRejectsBadChecksum(t *testing.T) {
-	set := codecTestSet(t)
-	path, raw := saveToFile(t, set)
+	raw := legacyFixture(t, "v2.json")
 	var ff fileFormat
 	if err := json.Unmarshal(raw, &ff); err != nil {
 		t.Fatal(err)
 	}
-	if ff.Version != formatVersion || ff.Checksum == "" {
-		t.Fatalf("saved record: version %d, checksum %q", ff.Version, ff.Checksum)
+	if ff.Version != maxJSONVersion || ff.Checksum == "" {
+		t.Fatalf("v2 fixture: version %d, checksum %q", ff.Version, ff.Checksum)
 	}
 	// Corrupt one stored value; the record stays valid JSON with the
 	// right counts, so only the checksum can catch it.
@@ -115,7 +129,7 @@ func TestLoadRejectsBadChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(filepath.Dir(path), "bitrot.json")
+	bad := filepath.Join(t.TempDir(), "bitrot.json")
 	if err := os.WriteFile(bad, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +139,37 @@ func TestLoadRejectsBadChecksum(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "checksum") || !strings.Contains(err.Error(), "bitrot.json") {
 		t.Errorf("checksum error must name the failure and the file: %v", err)
+	}
+}
+
+// TestLegacyFixturesLoadBitIdentical pins the read side of the retired
+// JSON codec: the committed v1 and v2 records load, through Load and
+// LoadFile, to exactly the set they were saved from — every value and
+// every spline coefficient bit for bit, which is what the set's v3
+// image holds.
+func TestLegacyFixturesLoadBitIdentical(t *testing.T) {
+	want, err := syntheticSet(t).encodeV3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"v1.json", "v2.json"} {
+		fromReader, err := Load(bytes.NewReader(legacyFixture(t, name)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fromFile, err := LoadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, s := range []*Set{fromReader, fromFile} {
+			got, err := s.encodeV3()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s loaded to a set that differs from the one it was saved from", name)
+			}
+		}
 	}
 }
 
@@ -217,14 +262,14 @@ func TestLoadMigratesV1(t *testing.T) {
 }
 
 // Stale temp files from a crashed save must not break LoadDir: they
-// do not end in .json and are skipped.
+// do not end in .rlct or .json and are skipped.
 func TestLoadDirSkipsTempFiles(t *testing.T) {
 	set := codecTestSet(t)
 	dir := t.TempDir()
-	if err := set.SaveFile(filepath.Join(dir, fileName(set.Config.Name))); err != nil {
+	if err := set.SaveFileV3(filepath.Join(dir, fileName(set.Config.Name))); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "set.json.tmp-123"), []byte("half a reco"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "set.rlct.tmp-123"), []byte("half a reco"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l, err := LoadDir(dir)

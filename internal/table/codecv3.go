@@ -178,9 +178,12 @@ func (s *Set) SaveV3(w io.Writer) error {
 	return err
 }
 
-// SaveFileV3 writes the set to path in the v3 binary format with the
-// same atomicity guarantees as SaveFile (temp file, fsync, rename,
-// directory sync). By convention v3 files use the .rlct extension so
+// SaveFileV3 writes the set to path in the v3 binary format
+// atomically: the image is written to a temporary file in the same
+// directory, fsynced, and renamed over the destination, so a crash
+// mid-save can never leave a truncated file under the final name. The
+// directory is fsynced after the rename so the new name itself
+// survives a crash. By convention v3 files use the .rlct extension so
 // LoadDir can discover them next to legacy .json sets.
 func (s *Set) SaveFileV3(path string) error {
 	buf, err := s.encodeV3()
@@ -234,13 +237,13 @@ func v3Floats(data []byte, off, n int) []float64 {
 	return out
 }
 
-// loadV3 decodes a v3 image. unmap, when non-nil, releases the file
+// decodeV3 decodes a v3 image. unmap, when non-nil, releases the file
 // mapping backing data and is adopted by the returned set (Close);
 // on any decode error it is the caller's job to unmap.
 //
 // Errors carry no "table:" prefix, mirroring load: Load and LoadFile
 // frame them.
-func loadV3(data []byte, unmap func() error) (*Set, error) {
+func decodeV3(data []byte, unmap func() error) (*Set, error) {
 	if len(data) < v3HeaderSize {
 		return nil, fmt.Errorf("v3 record truncated: %d bytes is shorter than the %d-byte header", len(data), v3HeaderSize)
 	}
@@ -354,7 +357,7 @@ func loadFileV3(f *os.File) (*Set, error) {
 		}
 		unmap = nil
 	}
-	s, err := loadV3(data, unmap)
+	s, err := decodeV3(data, unmap)
 	if err != nil {
 		if unmap != nil {
 			unmap()

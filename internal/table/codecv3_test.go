@@ -91,18 +91,12 @@ func TestCodecV3RoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCodecV3GoldenMigration is the migration gate: a v2 JSON file
-// loaded and re-saved as v3 must yield bit-identical values and
-// bit-identical lookup results.
+// TestCodecV3GoldenMigration is the migration gate: the committed v2
+// JSON fixture loaded and re-saved as v3 must yield bit-identical
+// values and bit-identical lookup results.
 func TestCodecV3GoldenMigration(t *testing.T) {
 	dir := t.TempDir()
-	orig := syntheticSet(t)
-	jsonPath := filepath.Join(dir, "set.json")
-	if err := orig.SaveFile(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-
-	fromJSON, err := LoadFile(jsonPath)
+	fromJSON, err := LoadFile(filepath.Join("testdata", "v2.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,14 +233,12 @@ func TestCodecV3CloseIdempotent(t *testing.T) {
 // and v3 .rlct sets side by side.
 func TestLoadDirMixedFormats(t *testing.T) {
 	dir := t.TempDir()
-	a := syntheticSet(t)
-	a.Config.Name = "m6/json"
-	if err := a.SaveFile(filepath.Join(dir, fileName(a.Config.Name))); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "m6-synthetic.json"), legacyFixture(t, "v2.json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	b := syntheticSet(t)
 	b.Config.Name = "m6/v3"
-	if err := b.SaveFileV3(filepath.Join(dir, fileNameExt(b.Config.Name, ".rlct"))); err != nil {
+	if err := b.SaveFileV3(filepath.Join(dir, fileName(b.Config.Name))); err != nil {
 		t.Fatal(err)
 	}
 	lib, err := LoadDir(dir)
@@ -256,7 +248,7 @@ func TestLoadDirMixedFormats(t *testing.T) {
 	if lib.Len() != 2 {
 		t.Fatalf("loaded %d sets, want 2 (%v)", lib.Len(), lib.Names())
 	}
-	for _, name := range []string{"m6/json", "m6/v3"} {
+	for _, name := range []string{"m6/synthetic", "m6/v3"} {
 		if _, err := lib.Get(name); err != nil {
 			t.Error(err)
 		}

@@ -32,7 +32,7 @@ func chaosConfig() (Config, Axes) {
 func encodeSet(t *testing.T, s *Set) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := s.SaveV3(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

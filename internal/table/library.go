@@ -75,18 +75,13 @@ func (l *Library) Close() error {
 	return first
 }
 
-// fileName maps a set name ("M6/microstrip") to a filesystem-safe
+// fileName maps a set name ("M6/microstrip") to a filesystem-safe v3
 // file name. The mapping is injective: bytes outside [A-Za-z0-9._-]
 // — '%' included — are %XX-escaped, so distinct names ("a/b" vs
-// "a\\b" vs "a_b") can never collapse onto the same file and SaveDir
+// "a\\b" vs "a_b") can never collapse onto the same file and SaveDirV3
 // can never silently overwrite one set with another.
 func fileName(name string) string {
-	return fileNameExt(name, ".json")
-}
-
-// fileNameExt is fileName with a caller-chosen extension (".json" for
-// the legacy codec, ".rlct" for v3 binaries).
-func fileNameExt(name, ext string) string {
+	const ext = ".rlct"
 	var b strings.Builder
 	b.Grow(len(name) + len(ext))
 	for i := 0; i < len(name); i++ {
@@ -102,36 +97,26 @@ func fileNameExt(name, ext string) string {
 	return b.String()
 }
 
-// SaveDir writes every set to dir (created if needed), one JSON file
-// per set, atomically (see SaveFile). File names are checked for
-// collisions case-insensitively first: the escape above is injective,
-// but a case-insensitive filesystem (macOS, Windows) would still
-// merge names differing only by letter case, so that is rejected up
-// front instead of overwriting silently.
-func (l *Library) SaveDir(dir string) error {
-	return l.saveDir(dir, ".json", (*Set).SaveFile)
-}
-
-// SaveDirV3 writes every set to dir in the v3 binary format, one
-// .rlct file per set, with the same atomicity and collision checks as
-// SaveDir.
+// SaveDirV3 writes every set to dir (created if needed) in the v3
+// binary format, one .rlct file per set, each atomically (see
+// SaveFileV3). File names are checked for collisions
+// case-insensitively first: the escape above is injective, but a
+// case-insensitive filesystem (macOS, Windows) would still merge names
+// differing only by letter case, so that is rejected up front instead
+// of overwriting silently.
 func (l *Library) SaveDirV3(dir string) error {
-	return l.saveDir(dir, ".rlct", (*Set).SaveFileV3)
-}
-
-func (l *Library) saveDir(dir, ext string, save func(*Set, string) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("table: %w", err)
 	}
 	used := map[string]string{} // folded file name → set name
 	for _, name := range l.Names() {
-		fn := fileNameExt(name, ext)
+		fn := fileName(name)
 		folded := strings.ToLower(fn)
 		if prev, dup := used[folded]; dup {
 			return fmt.Errorf("table: set names %q and %q both map to file %q on a case-insensitive filesystem; rename one set", prev, name, fn)
 		}
 		used[folded] = name
-		if err := save(l.sets[name], filepath.Join(dir, fn)); err != nil {
+		if err := l.sets[name].SaveFileV3(filepath.Join(dir, fn)); err != nil {
 			return err
 		}
 	}

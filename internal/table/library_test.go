@@ -39,7 +39,7 @@ func TestLibraryRoundTrip(t *testing.T) {
 		t.Fatalf("library size %d", l.Len())
 	}
 	dir := t.TempDir() + "/lib"
-	if err := l.SaveDir(dir); err != nil {
+	if err := l.SaveDirV3(dir); err != nil {
 		t.Fatal(err)
 	}
 	// Slash in the name must not create subdirectories.
@@ -73,8 +73,8 @@ func TestLibraryRoundTrip(t *testing.T) {
 }
 
 // Distinct set names must land in distinct files — the old replacer
-// collapsed "a/b", "a\\b" and "a__b" onto one file and SaveDir
-// silently kept only the last set written.
+// collapsed "a/b", "a\\b" and "a__b" onto one file and the directory
+// save silently kept only the last set written.
 func TestLibraryAdversarialNamesRoundTrip(t *testing.T) {
 	base, err := BuildCtx(context.Background(), freeConfig(), tinyAxes(), nil)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestLibraryAdversarialNamesRoundTrip(t *testing.T) {
 		}
 	}
 	dir := filepath.Join(t.TempDir(), "lib")
-	if err := l.SaveDir(dir); err != nil {
+	if err := l.SaveDirV3(dir); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -111,7 +111,7 @@ func TestLibraryAdversarialNamesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(entries) != len(names) {
-		t.Fatalf("%d files for %d sets — SaveDir overwrote one", len(entries), len(names))
+		t.Fatalf("%d files for %d sets — SaveDirV3 overwrote one", len(entries), len(names))
 	}
 	back, err := LoadDir(dir)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestLibraryAdversarialNamesRoundTrip(t *testing.T) {
 }
 
 // Names differing only by letter case would merge on a
-// case-insensitive filesystem; SaveDir must refuse up front rather
+// case-insensitive filesystem; SaveDirV3 must refuse up front rather
 // than overwrite one set silently.
 func TestSaveDirRejectsCaseCollision(t *testing.T) {
 	base, err := BuildCtx(context.Background(), freeConfig(), tinyAxes(), nil)
@@ -147,9 +147,9 @@ func TestSaveDirRejectsCaseCollision(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err = l.SaveDir(filepath.Join(t.TempDir(), "lib"))
+	err = l.SaveDirV3(filepath.Join(t.TempDir(), "lib"))
 	if err == nil {
-		t.Fatal("SaveDir accepted case-colliding set names")
+		t.Fatal("SaveDirV3 accepted case-colliding set names")
 	}
 	if !strings.Contains(err.Error(), "m6/cpw") || !strings.Contains(err.Error(), "M6/cpw") {
 		t.Errorf("collision error must name both sets: %v", err)

@@ -175,7 +175,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := set.Save(&buf); err != nil {
+	if err := set.SaveV3(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Load(&buf)
@@ -215,8 +215,8 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/set.json"
-	if err := set.SaveFile(path); err != nil {
+	path := t.TempDir() + "/set.rlct"
+	if err := set.SaveFileV3(path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadFile(path)

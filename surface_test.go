@@ -13,9 +13,11 @@ import (
 
 // TestOneEntryPointPerOperation guards against the regrowth of second
 // ways to do one job: no package under internal/ may declare both X
-// and XCtx on the same receiver (callers thread the context instead),
-// and internal/obs may export no span starter besides StartCtx (spans
-// parent through the context, never through a shared stack).
+// and XCtx on the same receiver (callers thread the context instead)
+// or both X and XV3 (v3 is the only table codec written; the legacy
+// JSON one is read-only), and internal/obs may export no span starter
+// besides StartCtx (spans parent through the context, never through a
+// shared stack).
 func TestOneEntryPointPerOperation(t *testing.T) {
 	fset := token.NewFileSet()
 	// declared maps "dir receiver" to the function names declared there.
@@ -52,14 +54,16 @@ func TestOneEntryPointPerOperation(t *testing.T) {
 	var twins []string
 	for key, names := range declared {
 		for name := range names {
-			if base, ok := strings.CutSuffix(name, "Ctx"); ok && base != "" && names[base] {
-				twins = append(twins, key+": "+base+" and "+name)
+			for _, suffix := range []string{"Ctx", "V3"} {
+				if base, ok := strings.CutSuffix(name, suffix); ok && base != "" && names[base] {
+					twins = append(twins, key+": "+base+" and "+name)
+				}
 			}
 		}
 	}
 	sort.Strings(twins)
 	for _, tw := range twins {
-		t.Errorf("ctx-less twin declared in %s", tw)
+		t.Errorf("twin entry points declared in %s", tw)
 	}
 }
 
