@@ -38,17 +38,19 @@ roundtrip:
 # daemon's overload paths (shed, deadline, breaker, drain, evict race),
 # and the checkpoint/resume drills (torn writes and bitrot at every
 # byte, kill-during-rename, SIGKILL-and-resume with bit-identity,
-# cancellation inside a checkpoint write). The subprocess tests (the
-# daemon's signal and drain drills, the treesim SIGKILL-and-resume
-# drill) then run 20 times each, so a timing race shows up here
-# instead of as an occasional tier-1 failure.
+# cancellation inside a checkpoint write or a parallel stage batch).
+# The subprocess tests (the daemon's signal and drain drills, the
+# treesim SIGKILL-and-resume drill) and the tree walk's parallel-vs-
+# serial bit-identity test then run 20 times each, so a timing race or
+# a result that depends on scheduling shows up here instead of as an
+# occasional tier-1 failure.
 chaos:
 	$(GO) test -race -timeout 10m \
 		-run 'Fault|Chaos|Cancel|Panic|Diverge|Retry|Injected|Transient|Degrad|Sign|Exit|NonFinite|Singular|IllCondition|Validation|Breaker|Shed|Admit|Deadline|Drain|Gone|Healthz|EvictWhileFilling|Torn|Bitrot|KillDuringRename|JobKeyMismatch|KillAndResume|Resume|CheckpointAudit|CheckpointSaveFailure' \
 		./internal/fault ./internal/table ./internal/core ./internal/sim ./internal/linalg ./internal/cliobs ./internal/serve ./internal/ckpt ./internal/clocktree ./cmd/treesim
 	$(GO) test -count=20 -timeout 10m \
-		-run 'SignalExitCodes|SIGTERMDrainsInFlightRequests|HealthzDuringDrain|KillAndResumeBitIdenticalSkew' \
-		./cmd/rlcxd ./cmd/treesim
+		-run 'SignalExitCodes|SIGTERMDrainsInFlightRequests|HealthzDuringDrain|KillAndResumeBitIdenticalSkew|ParallelWalkMatchesSerialOracle' \
+		./cmd/rlcxd ./cmd/treesim ./internal/clocktree
 
 # fuzz gives every native fuzz target a short randomised budget on top
 # of the committed seed corpora (which already run as plain test cases

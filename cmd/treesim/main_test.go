@@ -215,7 +215,7 @@ func TestKillAndResumeBitIdenticalSkew(t *testing.T) {
 	cache := filepath.Join(work, "cache")
 	args := func(ckDir string, extra ...string) []string {
 		return append([]string{
-			"-levels", "3", "-mode", "rlc", "-imbalance-spread", "40",
+			"-levels", "4", "-mode", "rlc", "-imbalance-spread", "256",
 			"-cache", cache, "-checkpoint", ckDir, "-checkpoint-stages", "1",
 		}, extra...)
 	}

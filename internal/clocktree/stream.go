@@ -5,7 +5,7 @@
 // SIGKILL resumes instead of restarting.
 //
 // Bit-identity with the legacy breadth-first walk is load-bearing and
-// rests on three facts, each pinned by a test:
+// rests on four facts, each pinned by a test:
 //
 //  1. Stage ids use heap numbering — stage k's children are
 //     4k+1..4k+4 — which reproduces the BFS sequential ids, so
@@ -18,6 +18,12 @@
 //     duplicate simulation with a memoized result cannot change any
 //     arrival; SimOptions.NoStageDedup forces the exact walk to prove
 //     it.
+//  4. Prefetched results are consumed in walk order. A memo miss
+//     simulates the distinct stages of the next window of its level
+//     on every core, but the walk takes each result, error included,
+//     only when it reaches that stage, so counts, checkpoints,
+//     arrivals and the first error are the serial walk's at any
+//     GOMAXPROCS.
 
 package clocktree
 
@@ -25,11 +31,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"clockrlc/internal/check"
 	"clockrlc/internal/ckpt"
 	"clockrlc/internal/obs"
+	"clockrlc/internal/table"
 )
 
 var (
@@ -175,6 +183,16 @@ type stageSig struct {
 	loads [4]float64
 }
 
+// prefetchWindow is how many stage ids of one level, from a memo miss
+// on, a prefetch batch covers: the whole leaf level of a 4-level tree.
+const prefetchWindow = 64
+
+// stageResult is one stage transient's outcome, its error included.
+type stageResult struct {
+	delays [4]float64
+	err    error
+}
+
 // frame is one level of the depth-first walk: a stage whose four sink
 // delays are known and whose subtrees are being visited. next is the
 // first unvisited sink (4 = done). base is the H-order index of the
@@ -203,43 +221,118 @@ type walker struct {
 	stack []frame
 	stats ArrivalStats
 
+	// ahead holds transients prefetch ran before the walk reached
+	// their stages, keyed like memo; the walk moves each into memo on
+	// arrival. It is not checkpointed: a resumed walk simulates them
+	// again. prefetched counts the transients prefetch ran.
+	ahead      map[stageSig]stageResult
+	prefetched int64
+
 	// observed counts leaves seen by *this process* (a resumed run
 	// inherits stats.Leaves but not observed) for the metrics counter.
 	observed int64
 }
 
-// stageDelays returns the four sink delays of a stage instance,
-// simulating on a memo miss.
-func (w *walker) stageDelays(ctx context.Context, level int, id int64, base int64) ([4]float64, error) {
-	scale := nominalScale
+// sig returns the signature of stage id at level, whose leaves start
+// at H-order index base: the stage's Scale entry and, on the leaf
+// level, the loads of its four leaves.
+func (w *walker) sig(level int, id, base int64) stageSig {
+	s := stageSig{level: int32(level), scale: nominalScale, loads: nominalLoads}
 	if sc, ok := w.opts.Scale[int(id)]; ok {
-		scale = sc
+		s.scale = sc
 	}
-	loads := nominalLoads
 	if level == w.levels-1 && len(w.opts.LeafLoadScale) > 0 {
-		for i := 0; i < 4; i++ {
+		for i := range s.loads {
 			if sc, ok := w.opts.LeafLoadScale[int(base)+i]; ok {
-				loads[i] = sc
+				s.loads[i] = sc
 			}
 		}
 	}
-	sig := stageSig{level: int32(level), scale: scale, loads: loads}
-	if !w.opts.NoStageDedup {
-		if d, ok := w.memo[sig]; ok {
-			w.stats.StagesDeduped++
-			stagesDeduped.Inc()
-			return d, nil
+	return s
+}
+
+// firstID is the heap id of a level's leftmost stage, (4^level − 1)/3.
+func firstID(level int) int64 { return (int64(1)<<(2*level) - 1) / 3 }
+
+// stageDelays returns the four sink delays of a stage instance. A
+// memo miss takes the stage's transient from w.ahead, prefetching it
+// first if no earlier batch did, and moves it into the memo; with
+// NoStageDedup every stage simulates inline, one after another.
+func (w *walker) stageDelays(ctx context.Context, level int, id int64, base int64) ([4]float64, error) {
+	sig := w.sig(level, id, base)
+	if w.opts.NoStageDedup {
+		d, err := w.tree.simulateStage(ctx, level, id, w.opts, sig.scale, sig.loads)
+		if err == nil {
+			w.stats.StagesSimulated++
 		}
-	}
-	d, err := w.tree.simulateStage(ctx, level, id, w.opts, scale, loads)
-	if err != nil {
 		return d, err
 	}
-	w.stats.StagesSimulated++
-	if !w.opts.NoStageDedup {
-		w.memo[sig] = d
+	if d, ok := w.memo[sig]; ok {
+		w.stats.StagesDeduped++
+		stagesDeduped.Inc()
+		return d, nil
 	}
-	return d, nil
+	r, ok := w.ahead[sig]
+	if !ok {
+		var err error
+		if r, err = w.prefetch(ctx, level, id, sig); err != nil {
+			return r.delays, err
+		}
+	}
+	delete(w.ahead, sig)
+	if r.err != nil {
+		return r.delays, r.err
+	}
+	w.stats.StagesSimulated++
+	w.memo[sig] = r.delays
+	return r.delays, nil
+}
+
+// prefetch simulates, on GOMAXPROCS workers, the distinct stages of
+// the window that starts at the walk's memo miss — stage id, whose
+// signature is sig — and spans the next prefetchWindow ids of its
+// level: every stage whose signature is neither memoized nor already
+// ahead. Of stages sharing a signature only the leftmost runs, the one
+// a serial walk would simulate. It returns the miss's own result and
+// parks the others, errors included, in w.ahead until the walk reaches
+// them, so the first failing stage in H-order fails the walk with its
+// own message. Only cancellation (or a panicking stage) fails the
+// batch itself.
+func (w *walker) prefetch(ctx context.Context, level int, id int64, sig stageSig) (stageResult, error) {
+	ctx, sp := obs.StartCtx(ctx, "clocktree.prefetch")
+	defer sp.End()
+	ids, sigs := []int64{id}, []stageSig{sig}
+	batch := map[stageSig]bool{sig: true}
+	first, end := firstID(level), min(id+prefetchWindow, firstID(level+1))
+	for k := id + 1; k < end; k++ {
+		s := w.sig(level, k, (k-first)*4*w.childLeaves[level])
+		if _, ok := w.memo[s]; ok || batch[s] {
+			continue
+		}
+		if _, ok := w.ahead[s]; ok {
+			continue
+		}
+		batch[s] = true
+		ids, sigs = append(ids, k), append(sigs, s)
+	}
+	sp.SetAttr("level", level)
+	sp.SetAttr("stages", len(ids))
+	res := make([]stageResult, len(ids))
+	err := table.ParallelForCtx(ctx, len(ids), runtime.GOMAXPROCS(0), func(k int) error {
+		res[k].delays, res[k].err = w.tree.simulateStage(ctx, level, ids[k], w.opts, sigs[k].scale, sigs[k].loads)
+		return nil
+	})
+	if err != nil {
+		return stageResult{}, err
+	}
+	if w.ahead == nil {
+		w.ahead = make(map[stageSig]stageResult, len(ids))
+	}
+	for k := 1; k < len(ids); k++ {
+		w.ahead[sigs[k]] = res[k]
+	}
+	w.prefetched += int64(len(ids))
+	return res[0], nil
 }
 
 // observe folds one leaf arrival into the running statistics.
@@ -463,5 +556,6 @@ func (t *Tree) analyzeStream(ctx context.Context, opts SimOptions, ck *Checkpoin
 	sp.SetAttr("simulated", w.stats.StagesSimulated)
 	sp.SetAttr("deduped", w.stats.StagesDeduped)
 	sp.SetAttr("stage_memo", len(w.memo))
+	sp.SetAttr("prefetched", w.prefetched)
 	return &w.stats, arrivals, nil
 }

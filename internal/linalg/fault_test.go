@@ -17,7 +17,7 @@ func TestFactorRejectsNonFiniteInput(t *testing.T) {
 	a.Set(0, 1, math.NaN())
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 3)
-	_, err := Factor(a)
+	_, err := factor(a)
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("want ErrNonFinite, got %v", err)
 	}
@@ -32,7 +32,7 @@ func TestFactorSingularIsNamed(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 4) // row 1 = 2 × row 0
-	if _, err := Factor(a); !errors.Is(err, ErrSingular) {
+	if _, err := factor(a); !errors.Is(err, ErrSingular) {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}
 }
@@ -44,7 +44,7 @@ func TestFactorPivotOverflowIsIllConditioned(t *testing.T) {
 	a.Set(1, 0, math.MaxFloat64)
 	a.Set(1, 1, -math.MaxFloat64)
 	// Elimination overflows the (1,1) update to -Inf.
-	if _, err := Factor(a); !errors.Is(err, ErrIllConditioned) {
+	if _, err := factor(a); !errors.Is(err, ErrIllConditioned) {
 		t.Fatalf("want ErrIllConditioned, got %v", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestCondEstimateTracksPivotSpread(t *testing.T) {
 	a := NewMatrix(2, 2)
 	a.Set(0, 0, 1e9)
 	a.Set(1, 1, 1e-3)
-	f, err := Factor(a)
+	f, err := factor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSolveSystemNeverReturnsNonFinite(t *testing.T) {
 			a.Set(i, j, 1/float64(i+j+1)) // Hilbert 3×3: ill-ish but solvable
 		}
 	}
-	x, err := SolveSystem(a, []float64{1, 0, 0})
+	x, err := solve(a, []float64{1, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

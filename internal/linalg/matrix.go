@@ -1,6 +1,6 @@
 // Package linalg implements the small linear-algebra kernel the
 // extractor needs: real and complex matrices, LU decomposition with
-// partial pivoting, linear solves and inverses.
+// partial pivoting and linear solves.
 //
 // The matrices involved are modest (filament systems of a few hundred
 // unknowns, MNA systems of a few thousand), so factorization is a
@@ -70,13 +70,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Add accumulates v into element (i, j).
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // MulVec computes y = m·x. The receiver must be Rows×Cols with
 // len(x) == Cols; the result has length Rows.
 func (m *Matrix) MulVec(x []float64) []float64 {
@@ -95,41 +88,13 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 	return y
 }
 
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference
-// between m and other; it panics on shape mismatch. Useful in tests
-// and convergence checks.
-func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("linalg: MaxAbsDiff shape mismatch")
-	}
-	d := 0.0
-	for i, v := range m.Data {
-		if a := math.Abs(v - other.Data[i]); a > d {
-			d = a
-		}
-	}
-	return d
-}
-
 // LU holds the LU factorization of a square matrix with partial
 // pivoting: P·A = L·U with the factors packed into lu and the row
 // permutation in piv.
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int // parity of permutation; determinant sign
+	n   int
+	lu  []float64
+	piv []int
 	// minPiv/maxPiv are the extreme |pivot| magnitudes seen during
 	// elimination; their ratio is a cheap condition estimate.
 	minPiv, maxPiv float64
@@ -146,23 +111,21 @@ func (f *LU) CondEstimate() float64 {
 	return f.maxPiv / f.minPiv
 }
 
-// Factor computes the LU factorization of square matrix a. The input
-// is not modified. It returns ErrSingular when a pivot underflows.
-func Factor(a *Matrix) (*LU, error) { return FactorInPlace(a.Clone()) }
-
-// FactorInPlace is Factor without the copy: the elimination overwrites
-// a with the packed factors and the returned LU shares a's storage, so
-// a must be neither read as the original matrix nor modified while the
-// LU is in use. It lets a caller factor into storage it reuses.
+// FactorInPlace computes the LU factorization of square matrix a in
+// a's own storage: the elimination overwrites a with the packed factors
+// and the returned LU shares that storage, so a must be neither read as
+// the original matrix nor modified while the LU is in use. It lets a
+// caller factor into storage it reuses. It returns ErrSingular when a
+// pivot underflows.
 func FactorInPlace(a *Matrix) (*LU, error) {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Factor needs a square matrix, got %d×%d", a.Rows, a.Cols)
+		return nil, fmt.Errorf("linalg: FactorInPlace needs a square matrix, got %d×%d", a.Rows, a.Cols)
 	}
 	if err := checkFinite(a.Data, a.Cols); err != nil {
 		return nil, err
 	}
 	n := a.Rows
-	f := &LU{n: n, lu: a.Data, piv: make([]int, n), sign: 1, minPiv: math.Inf(1)}
+	f := &LU{n: n, lu: a.Data, piv: make([]int, n), minPiv: math.Inf(1)}
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -197,7 +160,6 @@ func FactorInPlace(a *Matrix) (*LU, error) {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -256,47 +218,4 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		}
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
-// SolveSystem is a convenience wrapper: factor a and solve a·x = b.
-func SolveSystem(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Inverse returns a⁻¹ or ErrSingular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

@@ -29,13 +29,21 @@ func (a *CSR) appendRow(row []float64, c0 int) {
 	a.rowPtr = append(a.rowPtr, len(a.val))
 }
 
-// CSR returns m compressed to its exact nonzeros.
-func (m *Matrix) CSR() *CSR {
-	a := &CSR{rowPtr: make([]int, 1, m.Rows+1)}
+// reset empties a for refilling, keeping its storage.
+func (a *CSR) reset() {
+	a.rowPtr = append(a.rowPtr[:0], 0)
+	a.col = a.col[:0]
+	a.val = a.val[:0]
+}
+
+// CSR compresses m to its exact nonzeros into dst, overwriting what dst
+// held and reusing its storage, so a caller that compresses matrices
+// of one size over and over allocates only while dst grows.
+func (m *Matrix) CSR(dst *CSR) {
+	dst.reset()
 	for i := 0; i < m.Rows; i++ {
-		a.appendRow(m.Data[i*m.Cols:(i+1)*m.Cols], 0)
+		dst.appendRow(m.Data[i*m.Cols:(i+1)*m.Cols], 0)
 	}
-	return a
 }
 
 // NNZ returns the number of stored nonzeros.
@@ -67,22 +75,20 @@ type SparseLU struct {
 	diag []float64
 }
 
-// Sparse compresses the factorization for SparseLU.SolveInto.
-func (f *LU) Sparse() *SparseLU {
+// Sparse compresses the factorization into dst for SparseLU.SolveInto,
+// overwriting what dst held and reusing its storage as CSR does.
+func (f *LU) Sparse(dst *SparseLU) {
 	n := f.n
-	s := &SparseLU{
-		piv:  append([]int(nil), f.piv...),
-		l:    CSR{rowPtr: make([]int, 1, n+1)},
-		u:    CSR{rowPtr: make([]int, 1, n+1)},
-		diag: make([]float64, n),
-	}
+	dst.piv = append(dst.piv[:0], f.piv...)
+	dst.l.reset()
+	dst.u.reset()
+	dst.diag = dst.diag[:0]
 	for i := 0; i < n; i++ {
 		row := f.lu[i*n : (i+1)*n]
-		s.l.appendRow(row[:i], 0)
-		s.u.appendRow(row[i+1:], i+1)
-		s.diag[i] = row[i]
+		dst.l.appendRow(row[:i], 0)
+		dst.u.appendRow(row[i+1:], i+1)
+		dst.diag = append(dst.diag, row[i])
 	}
-	return s
 }
 
 // NNZ returns the stored nonzeros of L and U, U's diagonal included.

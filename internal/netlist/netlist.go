@@ -206,8 +206,11 @@ func (n *Netlist) Validate() error {
 // Nodes returns every node name appearing in the netlist, ground
 // excluded, in first-appearance order.
 func (n *Netlist) Nodes() []string {
-	var order []string
-	seen := map[string]bool{Ground: true, "gnd": true}
+	// A ladder netlist has about one node per element.
+	elems := len(n.Resistors) + len(n.Capacitors) + len(n.Inductors) + len(n.VSources)
+	order := make([]string, 0, elems)
+	seen := make(map[string]bool, elems+2)
+	seen[Ground], seen["gnd"] = true, true
 	add := func(names ...string) {
 		for _, s := range names {
 			if !seen[s] {

@@ -269,9 +269,10 @@ func TestDelaysFromT0StepDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// A warm RLC clock-tree stage (dim 111) reuses its dense scratch: G, C
-// and A alone were ~296 KB, and the whole transient allocated 853 KB
-// before they were pooled.
+// A warm RLC clock-tree stage (dim 111) reuses its pooled scratch: G,
+// C and A alone were ~296 KB, and the whole transient allocated 853 KB
+// before they were pooled and 130 KB before the CSR copies of G and C
+// and the compressed factors were pooled with them (~21 KB since).
 func TestWarmStageTransientAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -290,7 +291,10 @@ func TestWarmStageTransientAllocBudget(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&m1)
-	if per := (m1.TotalAlloc - m0.TotalAlloc) / reps; per > 200<<10 {
-		t.Errorf("warm RLC stage allocated %d bytes per transient, budget %d", per, 200<<10)
+	const budget = 32 << 10
+	per := (m1.TotalAlloc - m0.TotalAlloc) / reps
+	t.Logf("warm RLC stage: %d bytes, %d allocations per transient", per, (m1.Mallocs-m0.Mallocs)/reps)
+	if per > budget {
+		t.Errorf("warm RLC stage allocated %d bytes per transient, budget %d", per, budget)
 	}
 }

@@ -25,7 +25,7 @@ func denseTransient(nl *netlist.Netlist, h, tstop float64, probes []string) (*Re
 	}
 	b0 := make([]float64, m.dim)
 	m.rhs(0, b0)
-	gf, err := linalg.Factor(m.g)
+	gf, err := linalg.FactorInPlace(clone(m.g))
 	if err != nil {
 		return nil, err
 	}
@@ -33,12 +33,12 @@ func denseTransient(nl *netlist.Netlist, h, tstop float64, probes []string) (*Re
 	if err != nil {
 		return nil, err
 	}
-	a := m.g.Clone()
+	a := clone(m.g)
 	s := 2 / h
 	for i, v := range m.c.Data {
 		a.Data[i] += s * v
 	}
-	af, err := linalg.Factor(a)
+	af, err := linalg.FactorInPlace(a)
 	if err != nil {
 		return nil, err
 	}
@@ -76,6 +76,13 @@ func denseTransient(nl *netlist.Netlist, h, tstop float64, probes []string) (*Re
 		record(t1, x)
 	}
 	return res, nil
+}
+
+// clone returns a copy of m for factoring in place.
+func clone(m *linalg.Matrix) *linalg.Matrix {
+	c := linalg.NewMatrix(m.Rows, m.Cols)
+	copy(c.Data, m.Data)
+	return c
 }
 
 // randomStage builds a seeded random RC or RLC interconnect of about
